@@ -1,9 +1,9 @@
 """Batch front end: validated JSON configs in, CSV/JSONL diagnostics out.
 
 Exit codes: 0 success, 2 config validation failure, 3 numerical
-divergence abort.  Identical (config, seed) pairs produce byte-identical
-output files; numbers are serialized with 17 significant digits so CSV
-values round-trip doubles exactly.
+divergence or Picard non-contraction.  Identical (config, seed) pairs
+produce byte-identical output files; numbers are serialized with 17
+significant digits so CSV values round-trip doubles exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .diagnostics import (
 )
 from .dynamics import (
     InitialState,
+    PicardDidNotConverge,
     SimConfig,
     SimulationDiverged,
     simulate,
@@ -67,6 +68,17 @@ def _number(obj: dict, key: str, path: str, positive: bool = False) -> float:
 def _integer(obj: dict, key: str, path: str) -> int:
     v = obj[key]
     _require(isinstance(v, int) and not isinstance(v, bool), f"{path}.{key}: expected an integer")
+    return v
+
+
+def _number_list(obj: dict, key: str, path: str) -> list:
+    v = obj[key]
+    _require(isinstance(v, list), f"{path}.{key}: expected a list")
+    for x in v:
+        _require(
+            isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x),
+            f"{path}.{key}: expected finite numbers, got {x!r}",
+        )
     return v
 
 
@@ -171,8 +183,8 @@ def build_simulation(spec: dict, path: str = "sim", seed_shift: int = 0):
 
     if "record_times" in spec:
         _require("n_records" not in spec, f"{path}.n_records: give either record_times or n_records")
-        rts = spec["record_times"]
-        _require(isinstance(rts, list) and rts, f"{path}.record_times: expected a nonempty list")
+        rts = _number_list(spec, "record_times", path)
+        _require(rts, f"{path}.record_times: expected a nonempty list")
         record_times = tuple(float(t) for t in rts)
     else:
         n_rec = _integer(spec, "n_records", path) if "n_records" in spec else 2
@@ -181,7 +193,10 @@ def build_simulation(spec: dict, path: str = "sim", seed_shift: int = 0):
     for t in record_times:
         _require(0.0 <= t <= t_final + 1e-12, f"{path}.record_times: {t} outside [0, T]")
 
-    sobolev_s = tuple(spec.get("sobolev_s", (0.0, 1.0, 2.0)))
+    sobolev_s = (0.0, 1.0, 2.0)
+    if "sobolev_s" in spec:
+        sobolev_s = tuple(_number_list(spec, "sobolev_s", path))
+        _require(all(s >= 0 for s in sobolev_s), f"{path}.sobolev_s: orders must be >= 0")
     residual_k = _integer(spec, "residual_k", path) if "residual_k" in spec else 0
     residual_beta = _number(spec, "residual_beta", path) if "residual_beta" in spec else 0.4
     _require(0.0 <= residual_beta < 0.5, f"{path}.residual_beta: must be in [0, 0.5)")
@@ -426,6 +441,9 @@ def run_config(config: dict, seed_override: int | None = None, output_override: 
         return 2
     except SimulationDiverged as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
+        return 3
+    except PicardDidNotConverge as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     wall = time.perf_counter() - start
     print(f"{experiment}: wrote {', '.join(paths)} in {wall:.2f} s")

@@ -98,7 +98,7 @@ class ControlSignal:
         if self.kind == "zero" or a == b:
             return 0.0
         if self.kind == "piecewise_constant":
-            return self._pw_antideriv(b) - self._pw_antideriv(a)
+            return float(self._pw_antideriv(b) - self._pw_antideriv(a))
         if self.kind == "sampled":
             ts, vs = self._panels(a, b)
             return float(np.trapezoid(vs, ts))
@@ -106,6 +106,27 @@ class ControlSignal:
             w = 2.0 * np.pi * self.n_freq / self.duration
             osc = self.amplitude / w * (np.cos(w * a) - np.cos(w * b))
             return self.base.integral(a, b) + float(osc)
+        raise ValueError(f"unknown control kind {self.kind!r}")
+
+    def step_integrals(self, dt: float, n_steps: int) -> np.ndarray:
+        """integral(j dt, (j + 1) dt) for j < n_steps, as one array.
+
+        The step edges clamp to [0, duration] as in integral(), so steps
+        past the end integrate to 0.  Closed forms for every kind but
+        sampled, which integrates step by step.
+        """
+        if self.kind == "sampled":
+            return np.array([self.integral(j * dt, (j + 1) * dt) for j in range(n_steps)])
+        t = np.clip(np.arange(n_steps + 1) * dt, 0.0, self.duration)
+        if self.kind == "zero":
+            return np.zeros(n_steps)
+        if self.kind == "piecewise_constant":
+            return np.diff(self._pw_antideriv(t))
+        if self.kind == "sinusoid_perturbed":
+            w = 2.0 * np.pi * self.n_freq / self.duration
+            c = np.cos(w * t)
+            osc = self.amplitude / w * (c[:-1] - c[1:])
+            return self.base.step_integrals(dt, n_steps) + osc
         raise ValueError(f"unknown control kind {self.kind!r}")
 
     def abs_integral(self, a: float, b: float) -> float:
@@ -146,11 +167,13 @@ class ControlSignal:
         ts = np.linspace(0.0, self.duration, max(4097, 64 * max(1, self.n_freq) + 1))
         return float(np.trapezoid(np.abs(self(ts)) ** r, ts) ** (1.0 / r))
 
-    def _pw_antideriv(self, t: float) -> float:
+    def _pw_antideriv(self, t):
+        """Antiderivative from 0 of a piecewise-constant u, for t in [0, duration]."""
         v = self.values
         delta = self.duration / v.size
-        j = min(int(np.floor(t / delta)), v.size - 1)
-        return float(delta * np.sum(v[:j]) + v[j] * (t - j * delta))
+        j = np.minimum(np.floor(t / delta).astype(int), v.size - 1)
+        prefix = np.concatenate(([0.0], np.cumsum(v)))
+        return delta * prefix[j] + v[j] * (t - j * delta)
 
     def _pw_pieces(self, a: float, b: float):
         v = self.values

@@ -22,10 +22,8 @@ from .hermite import (
     GridField,
     HermiteBasis,
     SpectralField,
-    _analyze_array,
-    _analyze_batch,
-    _synth_array,
-    _synth_batch,
+    _analyze,
+    _synthesize,
     spectral_field,
 )
 from .operators import eigenvalues, free_propagate, lp_norm, sobolev_norm
@@ -173,13 +171,14 @@ def grid_nonlinear_phase(
     values -> exp(-i (K * U - sigma |values|^2 * dt)) * values, with
     U the integral of u over the step.  Moduli are unchanged exactly.
     """
-    v = values.values
-    phase = k_values * u_integral - sigma * np.abs(v) ** 2 * dt
-    return GridField(values.dim, v * np.exp(-1j * phase))
+    return GridField(values.dim, _phase_kernel(values.values, sigma, k_values, u_integral, dt))
 
 
 def _phase_kernel(v: np.ndarray, sigma: int, k_values: np.ndarray, u_int: float, dt: float):
-    return v * np.exp(-1j * (k_values * u_int - sigma * np.abs(v) ** 2 * dt))
+    phase = k_values * u_int
+    if sigma:
+        phase = phase - sigma * np.abs(v) ** 2 * dt
+    return v * np.exp(-1j * phase)
 
 
 class _StrangStepper:
@@ -194,12 +193,12 @@ class _StrangStepper:
         self.half_phase = np.exp(0.5j * lam * dt)
         self.k_values = cfg.potential.grid_values
 
-    def step(self, coeffs: np.ndarray, t: float) -> np.ndarray:
+    def step(self, coeffs: np.ndarray, u_int: float) -> np.ndarray:
+        """One step over which the control integrates to u_int."""
         c = self.half_phase * coeffs
-        v = _synth_array(self.basis, c)
-        u_int = self.cfg.control.integral(t, t + self.dt)
+        v = _synthesize(self.basis, c)
         v = _phase_kernel(v, self.cfg.sigma, self.k_values, u_int, self.dt)
-        c = _analyze_array(self.basis, v)
+        c = _analyze(self.basis, v)
         return self.half_phase * c
 
 
@@ -210,7 +209,8 @@ def strang_step(
     if dt <= 0:
         raise ValueError("dt must be positive")
     stepper = _StrangStepper(basis, cfg, dt)
-    return SpectralField(state.dim, state.n_modes, stepper.step(state.coeffs, t))
+    u_int = cfg.control.integral(t, t + dt)
+    return SpectralField(state.dim, state.n_modes, stepper.step(state.coeffs, u_int))
 
 
 def energy(basis: HermiteBasis, state: SpectralField) -> float:
@@ -218,10 +218,15 @@ def energy(basis: HermiteBasis, state: SpectralField) -> float:
 
     Invariant of the exact flow for the defocusing equation with u = 0.
     """
+    return _energy(basis, state.coeffs, _synthesize(basis, state.coeffs))
+
+
+def _energy(basis: HermiteBasis, coeffs: np.ndarray, values: np.ndarray) -> float:
+    """energy() of the state with the given coefficients and grid values."""
     lam = eigenvalues(basis.dim, basis.n_modes)
-    a2 = np.abs(state.coeffs) ** 2
+    a2 = np.abs(coeffs) ** 2
     quad_part = float(np.sum(lam * a2) + np.sum(a2))
-    v = np.abs(_synth_array(basis, state.coeffs)) ** 4
+    v = np.abs(values) ** 4
     for _ in range(basis.dim):
         v = np.tensordot(v, basis.phys_weights, axes=(0, 0))
     return quad_part + 0.5 * float(v)
@@ -240,8 +245,9 @@ def _record(
     free = free_propagate(basis, psi0, t)
     diff = SpectralField(basis.dim, basis.n_modes, coeffs - free.coeffs)
     res = sobolev_norm(basis, diff, cfg.residual_k + cfg.residual_beta)
-    linf = lp_norm(basis, GridField(basis.dim, _synth_array(basis, coeffs)), np.inf)
-    return TrajectoryRecord(t, state, l2, energy(basis, state), sob, res, linf)
+    values = _synthesize(basis, coeffs)
+    linf = lp_norm(basis, GridField(basis.dim, values), np.inf)
+    return TrajectoryRecord(t, state, l2, _energy(basis, coeffs, values), sob, res, linf)
 
 
 def _snap_records(cfg: SimConfig, n_steps: int, dt: float) -> dict:
@@ -272,11 +278,12 @@ def simulate(basis: HermiteBasis, cfg: SimConfig) -> Trajectory:
 
     stepper = _StrangStepper(basis, cfg, dt)
     lam = stepper.lam
+    u_ints = cfg.control.step_integrals(dt, n_steps)
     c = psi0.coeffs.copy()
     if 0 in record_at:
         records.append(_record(basis, cfg, 0.0, c, psi0))
     for j in range(n_steps):
-        c = stepper.step(c, j * dt)
+        c = stepper.step(c, u_ints[j])
         h1 = float(np.sqrt(np.sum(lam * np.abs(c) ** 2)))
         if not np.isfinite(h1) or h1 > H1_DIVERGENCE_LIMIT:
             raise SimulationDiverged((j + 1) * dt, h1)
@@ -331,12 +338,12 @@ def picard_solve(
     psi = free.copy()
     dists, ratios = [], []
     for it in range(cfg.picard_max_iter):
-        grids = _synth_batch(basis, psi)
+        grids = _synthesize(basis, psi)
         f = (
             -1j * u_vals.reshape(gshape) * k_grid * grids
             + 1j * cfg.sigma * np.abs(grids) ** 2 * grids
         )
-        fc = _analyze_batch(basis, f).reshape(n + 1, -1)
+        fc = _analyze(basis, f).reshape(n + 1, -1)
         fc *= np.conj(phases)
         integral = np.zeros_like(fc)
         integral[1:] = np.cumsum(0.5 * h * (fc[:-1] + fc[1:]), axis=0)

@@ -18,7 +18,8 @@ from .hermite import (
     GridField,
     HermiteBasis,
     SpectralField,
-    _synth_batch,
+    _contract,
+    _synthesize,
     to_grid,
 )
 
@@ -88,9 +89,7 @@ def sup_norm_refined(
     xs = np.linspace(-x_max, x_max, n_pts)
     table = hermite_values(basis.n_modes, xs)
     lam = eigenvalues(basis.dim, basis.n_modes)
-    v = f.coeffs * lam ** (s / 2.0)
-    for _ in range(basis.dim):
-        v = np.tensordot(v, table, axes=(0, 0))
+    v = _contract(table.T, f.coeffs * lam ** (s / 2.0), basis.dim)
     return float(np.max(np.abs(v)))
 
 
@@ -129,7 +128,7 @@ def kato_functional(
     lam_flat = lam.reshape(-1)
     batch = np.exp(1j * np.outer(ts, lam_flat)) * amp
     batch = batch.reshape((ts.size,) + (basis.n_modes,) * basis.dim)
-    grids = _synth_batch(basis, batch)
+    grids = _synthesize(basis, batch)
 
     # fold the weight <x>^(-1/2) squared into the quadrature weights
     r2 = reduce(np.add.outer, [basis.nodes**2] * basis.dim)

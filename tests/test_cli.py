@@ -116,6 +116,17 @@ def test_divergence_exit_code(tmp_path, monkeypatch):
     assert run_config(minimal_simulate(tmp_path)) == 3
 
 
+def test_picard_non_contraction_exit_code(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "simulate_bilinear.json").read_text())
+    cfg["sim"]["integrator"] = "picard"
+    cfg["sim"]["picard_max_iter"] = 2
+    cfg["output"]["path"] = str(tmp_path / "picard")
+    assert run_config(cfg) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert "no contraction after 2 iterations" in err
+
+
 def test_emit_records_csv_shape(tmp_path):
     path = str(tmp_path / "one.csv")
     emit_records([{"a": 1, "b": 0.5}], "csv", path)

@@ -119,3 +119,25 @@ def test_potential_3d(basis3d):
     assert pot.grid_values.shape == (16, 16, 16)
     assert pot.grad_sup > 0.0
     assert pot.wkinf_norms[1] >= pot.grad_sup * 0.5
+
+
+def test_step_integrals_match_per_step_integral():
+    rng = np.random.default_rng(5)
+    pw = ControlSignal.piecewise_constant(rng.standard_normal(13), 1.0)
+    controls = [
+        ControlSignal.zero(1.0),
+        pw,
+        ControlSignal.sampled(rng.standard_normal(17), 1.0),
+        ControlSignal.sinusoid_perturbed(pw, 0.8, 3),
+        # shorter than n_steps * dt: steps past the end integrate to 0
+        ControlSignal.piecewise_constant(rng.standard_normal(5), 0.6),
+    ]
+    dt, n_steps = 1.0 / 150, 150
+    for u in controls:
+        got = u.step_integrals(dt, n_steps)
+        expect = np.array([u.integral(j * dt, (j + 1) * dt) for j in range(n_steps)])
+        assert got.shape == (n_steps,)
+        assert np.max(np.abs(got - expect)) <= 1e-14, u.kind
+    short = controls[-1].step_integrals(dt, n_steps)
+    assert np.all(short[91:] == 0.0)
+    assert np.any(short[:90] != 0.0)

@@ -150,8 +150,8 @@ def test_simulate_phase_equivariance(basis64):
     c = rotated.coeffs.copy()
     stepper = dynamics._StrangStepper(basis64, base, base.dt)
     n = int(round(base.t_final / base.dt))
-    for j in range(n):
-        c = stepper.step(c, j * base.dt)
+    for u_int in base.control.step_integrals(base.dt, n):
+        c = stepper.step(c, u_int)
     expect = np.exp(1j * theta) * traj_a.final_state.coeffs
     assert np.max(np.abs(c - expect)) <= 1e-12
 

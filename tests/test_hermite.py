@@ -7,6 +7,8 @@ from scipy.special import eval_hermite
 
 from gpe.hermite import (
     GridField,
+    _analyze,
+    _synthesize,
     basis_state,
     build_basis,
     gauss_hermite,
@@ -186,3 +188,40 @@ def test_spectral_field_rejects_nonfinite(basis32):
     bad[3] = np.nan
     with pytest.raises(ValueError):
         spectral_field(basis32, bad)
+
+
+_AXES = "abc"
+
+
+def naive_transform(tab, x, dim, batched):
+    """Contract tab (out, in) along each spatial axis with one einsum."""
+    ins, outs = _AXES[:dim], _AXES[:dim].upper()
+    lead = "z" if batched else ""
+    spec = ",".join(f"{o}{i}" for o, i in zip(outs, ins))
+    return np.einsum(f"{spec},{lead}{ins}->{lead}{outs}", *([tab] * dim), x)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("batch", [None, 3])
+def test_transform_pair_matches_einsum(dim, batch):
+    b = build_basis(dim, {1: 24, 2: 12, 3: 6}[dim], 2)
+    rng = np.random.default_rng(10 * dim + (batch or 0))
+    lead = () if batch is None else (batch,)
+
+    def draw(n):
+        shape = lead + (n,) * dim
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    c = draw(b.n_modes)
+    got = _synthesize(b, c)
+    expect = naive_transform(b.herm_table.T, c, dim, batch is not None)
+    assert got.shape == expect.shape
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    v = draw(b.n_nodes)
+    weighted = b.herm_table * b.phys_weights
+    assert np.array_equal(b.analysis_table, weighted)
+    got = _analyze(b, v)
+    expect = naive_transform(weighted, v, dim, batch is not None)
+    assert got.shape == expect.shape
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
