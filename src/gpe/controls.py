@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hermite import HermiteBasis
+from .hermite import ConfigError, HermiteBasis
 
 CONTROL_KINDS = ("zero", "piecewise_constant", "sampled", "sinusoid_perturbed")
 POTENTIAL_KINDS = ("gaussian_bump", "sech", "polynomial_decay", "constant", "sampled")
@@ -44,14 +44,14 @@ class ControlSignal:
     def piecewise_constant(values, duration: float) -> "ControlSignal":
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or v.size == 0:
-            raise ValueError("piecewise_constant needs a nonempty 1d value array")
+            raise ConfigError("piecewise_constant values must be a nonempty 1d array")
         return ControlSignal("piecewise_constant", float(duration), v)
 
     @staticmethod
     def sampled(values, duration: float) -> "ControlSignal":
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or v.size < 2:
-            raise ValueError("sampled needs at least two samples")
+            raise ConfigError("sampled values must be a 1d array of at least two samples")
         return ControlSignal("sampled", float(duration), v)
 
     @staticmethod
@@ -59,7 +59,7 @@ class ControlSignal:
         base: "ControlSignal", amplitude: float, n_freq: int
     ) -> "ControlSignal":
         if n_freq < 1:
-            raise ValueError("n_freq must be a positive integer")
+            raise ConfigError(f"n_freq must be a positive integer, got {n_freq}")
         return ControlSignal(
             "sinusoid_perturbed",
             base.duration,
@@ -83,13 +83,13 @@ class ControlSignal:
         if self.kind == "sinusoid_perturbed":
             osc = self.amplitude * np.sin(2.0 * np.pi * self.n_freq * t / self.duration)
             return self.base(t) + osc
-        raise ValueError(f"unknown control kind {self.kind!r}")
+        raise ConfigError(f"unknown control kind {self.kind!r}")
 
     def _clamp(self, a: float, b: float) -> tuple[float, float]:
         a = min(max(a, 0.0), self.duration)
         b = min(max(b, 0.0), self.duration)
         if b < a:
-            raise ValueError("integration bounds out of order")
+            raise ConfigError("integration bounds out of order")
         return a, b
 
     def integral(self, a: float, b: float) -> float:
@@ -106,7 +106,7 @@ class ControlSignal:
             w = 2.0 * np.pi * self.n_freq / self.duration
             osc = self.amplitude / w * (np.cos(w * a) - np.cos(w * b))
             return self.base.integral(a, b) + float(osc)
-        raise ValueError(f"unknown control kind {self.kind!r}")
+        raise ConfigError(f"unknown control kind {self.kind!r}")
 
     def step_integrals(self, dt: float, n_steps: int) -> np.ndarray:
         """integral(j dt, (j + 1) dt) for j < n_steps, as one array.
@@ -127,7 +127,7 @@ class ControlSignal:
             c = np.cos(w * t)
             osc = self.amplitude / w * (c[:-1] - c[1:])
             return self.base.step_integrals(dt, n_steps) + osc
-        raise ValueError(f"unknown control kind {self.kind!r}")
+        raise ConfigError(f"unknown control kind {self.kind!r}")
 
     def abs_integral(self, a: float, b: float) -> float:
         """Integral of |u| over [a, b]."""
@@ -146,12 +146,12 @@ class ControlSignal:
         if self.kind == "sinusoid_perturbed":
             ts = np.linspace(a, b, max(2049, 64 * self.n_freq + 1))
             return float(np.trapezoid(np.abs(self(ts)), ts))
-        raise ValueError(f"unknown control kind {self.kind!r}")
+        raise ConfigError(f"unknown control kind {self.kind!r}")
 
     def lr_norm(self, r: float) -> float:
         """Lr norm of u on [0, duration]; exact for piecewise-constant u."""
         if r < 1:
-            raise ValueError("lr_norm requires r >= 1")
+            raise ConfigError("lr_norm requires r >= 1")
         if self.kind == "zero":
             return 0.0
         if self.kind == "piecewise_constant":
@@ -231,7 +231,7 @@ def _radial_profile(kind: str, amplitude: float, width: float):
         return lambda r2: amplitude / (1.0 + r2 / width**2)
     if kind == "constant":
         return lambda r2: amplitude * np.ones_like(np.asarray(r2, dtype=float))
-    raise ValueError(f"unknown potential kind {kind!r}")
+    raise ConfigError(f"unknown potential kind {kind!r}")
 
 
 def _mixed_partials(arr: np.ndarray, coords: list[np.ndarray], order: int):
@@ -270,22 +270,24 @@ def make_potential(
 ) -> PotentialSpec:
     """Build a potential and its derivative-norm estimates on the basis grid."""
     if kind not in POTENTIAL_KINDS:
-        raise ValueError(f"unknown potential kind {kind!r}")
+        raise ConfigError(f"unknown potential kind {kind!r}")
+    if max_order < 0:
+        raise ConfigError(f"max_order must be >= 0, got {max_order}")
     d = basis.dim
     ctr = np.full(d, float(center)) if np.isscalar(center) else np.asarray(center, float)
     if ctr.shape != (d,):
-        raise ValueError(f"center must be a scalar or length-{d} sequence")
+        raise ConfigError(f"center must be a scalar or length-{d} sequence")
 
     node_grids = [basis.nodes - ctr[ax] for ax in range(d)]
     if kind == "sampled":
         if values is None:
-            raise ValueError("sampled potential requires values")
+            raise ConfigError("sampled potential requires values")
         vals = np.asarray(values)
         if np.iscomplexobj(vals) and np.max(np.abs(vals.imag)) > 0.0:
-            raise ValueError("potential must be real valued")
+            raise ConfigError("potential values must be real")
         vals = vals.real.astype(float)
         if vals.shape != (basis.n_nodes,) * d:
-            raise ValueError("sampled potential shape does not match the grid")
+            raise ConfigError(f"sampled potential values have shape {vals.shape}, not the grid's")
         est_coords = [basis.nodes] * d
         est_vals = vals
     else:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .controls import ControlSignal
 from .dynamics import SimConfig, Trajectory, simulate
-from .hermite import HermiteBasis, SpectralField
-from .operators import check_admissible, eigenvalues, sobolev_norm, wsp_norm
+from .hermite import ConfigError, HermiteBasis, SpectralField
+from .operators import _check_beta, check_admissible, eigenvalues, sobolev_norm, wsp_norm
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,10 @@ def smoothing_residual_series(
     integer.  The series starts at 0 exactly.
     """
     if traj.cfg.sigma != 0:
-        raise ValueError("smoothing residual is defined for bilinear (sigma = 0) runs")
-    if not 0.0 <= beta < 0.5:
-        raise ValueError(f"beta must satisfy 0 <= beta < 1/2, got {beta}")
+        raise ConfigError("smoothing residual is defined for bilinear (sigma = 0) runs")
+    _check_beta(beta)
     if k < 0 or k % 2 != 0:
-        raise ValueError(f"k must be an even nonnegative integer, got {k}")
+        raise ConfigError(f"k must be an even nonnegative integer, got {k}")
     s = k + beta
     return [(t, sobolev_norm(basis, st, s)) for t, st in residual_states(traj, basis)]
 
@@ -107,9 +106,9 @@ def holder_quotient(
     quotient 0 and an undefined fitted exponent.
     """
     if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
+        raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
     if len(series) < 2:
-        raise ValueError("need at least two samples")
+        raise ConfigError("need at least two samples")
     log_dt, log_df, qsup = [], [], 0.0
     for i in range(len(series)):
         for j in range(i + 1, len(series)):
@@ -144,7 +143,7 @@ def strichartz_norm(
     explicitly whitelisted for reporting.  q = inf takes the max in time.
     """
     if not whitelist and not check_admissible(q, r, traj.cfg.dim):
-        raise ValueError(f"pair (q={q}, r={r}) not admissible in dim {traj.cfg.dim}")
+        raise ConfigError(f"pair (q={q}, r={r}) not admissible in dim {traj.cfg.dim}")
     ts = traj.times
     vals = np.array([wsp_norm(basis, rec.state, s, r) for rec in traj.records])
     if np.isinf(q):
@@ -166,10 +165,10 @@ def weak_limit_experiment(
     converging weakly to the base control as n grows, and returns
     (n, ||psi_n(T) - psi(T)||_{H^s}).
     """
-    if sorted(n_list) != list(n_list):
-        raise ValueError("n_list must be increasing")
+    if not n_list or sorted(n_list) != list(n_list) or n_list[0] < 1:
+        raise ConfigError(f"n_list must be a nonempty increasing list of n >= 1, got {n_list}")
     if amplitude < 0:
-        raise ValueError("amplitude must be nonnegative")
+        raise ConfigError("amplitude must be nonnegative")
     base_final = simulate(basis, cfg).final_state
     out = []
     for n in n_list:
@@ -220,13 +219,21 @@ def attainable_ensemble(
 
     Each sample draws a piecewise-constant control scaled to the exact L2
     norm control_norm on [0, T] and a uniform random time snapped to the
-    step grid, runs the bilinear equation, and profiles
+    step grid (and never past T), runs the bilinear equation, and profiles
     psi(t*) - e^{it*H} psi0 in H^(k+beta).  Deterministic given the seed.
     """
+    cfg_template.validate(basis)
     if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+        raise ConfigError(f"n_samples must be at least 1, got {n_samples}")
     if cfg_template.sigma != 0:
-        raise ValueError("attainable ensembles are bilinear (sigma = 0)")
+        raise ConfigError("attainable ensembles are bilinear (sigma = 0)")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if control_norm < 0:
+        raise ConfigError(f"control_norm must be >= 0, got {control_norm}")
+    if n_segments < 1:
+        raise ConfigError(f"n_segments must be >= 1, got {n_segments}")
+    _check_beta(beta)
     rng = np.random.default_rng(seed)
     weight_s = k + beta
     if cutoffs is None:
@@ -246,7 +253,7 @@ def attainable_ensemble(
             )
             profiles.append(spectral_tail_profile(basis, zero, weight_s, cutoffs))
             continue
-        t_run = n_steps * cfg_template.dt
+        t_run = min(n_steps * cfg_template.dt, t_total)
         cfg = replace(cfg_template, control=u, t_final=t_run, record_times=(t_run,))
         traj = simulate(basis, cfg)
         _, res = residual_states(traj, basis)[-1]
@@ -267,7 +274,7 @@ def gronwall_check(
     minimal margin (envelope minus measured norm) over record times.
     """
     if traj.cfg.sigma != 0:
-        raise ValueError("the growth envelope applies to bilinear (sigma = 0) runs")
+        raise ConfigError("the growth envelope applies to bilinear (sigma = 0) runs")
     if k_norm is None:
         k_norm = traj.cfg.potential.wkinf_norms[k]
     base = sobolev_norm(basis, traj.psi0, float(k))
@@ -312,7 +319,7 @@ def energy_bound_check(
     tolerance.
     """
     if traj.cfg.sigma != 1:
-        raise ValueError("the energy envelope applies to defocusing (sigma = 1) runs")
+        raise ConfigError("the energy envelope applies to defocusing (sigma = 1) runs")
     if grad_sup is None:
         grad_sup = traj.cfg.potential.grad_sup
     from .dynamics import energy as _energy

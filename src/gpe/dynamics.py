@@ -13,20 +13,23 @@ potential/nonlinear phase, and a fixed-point iteration of the integral
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .controls import ControlSignal, PotentialSpec
 from .hermite import (
+    ConfigError,
     GridField,
     HermiteBasis,
     SpectralField,
     _analyze,
+    _quad_sum,
     _synthesize,
+    basis_state,
     spectral_field,
 )
-from .operators import eigenvalues, free_propagate, lp_norm, sobolev_norm
+from .operators import _check_beta, eigenvalues, free_propagate, lp_norm, sobolev_norm
 
 H1_DIVERGENCE_LIMIT = 1.0e6
 
@@ -65,6 +68,12 @@ class InitialState:
     decay: float = 2.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.kind not in ("eigenstate", "coherent", "random_decay"):
+            raise ConfigError(f"unknown initial state kind {self.kind!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -86,20 +95,41 @@ class SimConfig:
     picard_max_iter: int = 60
     picard_window: float = 0.1
 
-    def validate(self) -> None:
+    def validate(self, basis: HermiteBasis | None = None) -> None:
+        """Range-check every field; given a basis, check it, the potential and the initial state fit."""
         if self.sigma not in (-1, 0, 1):
-            raise ValueError(f"sigma must be -1, 0 or 1, got {self.sigma}")
+            raise ConfigError(f"sigma must be -1, 0 or 1, got {self.sigma}")
         if self.t_final <= 0:
-            raise ValueError("t_final must be positive")
+            raise ConfigError("t_final must be positive")
         if self.dt <= 0:
-            raise ValueError("dt must be positive")
+            raise ConfigError("dt must be positive")
         if self.integrator not in ("strang", "picard"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
+            raise ConfigError(f"unknown integrator {self.integrator!r}")
         for t in self.record_times:
             if not 0.0 <= t <= self.t_final + 1e-12:
-                raise ValueError(f"record time {t} outside [0, {self.t_final}]")
+                raise ConfigError(f"record_times entry {t} outside [0, {self.t_final}]")
+        if any(s < 0 for s in self.sobolev_s):
+            raise ConfigError(f"sobolev_s orders must be >= 0, got {self.sobolev_s}")
+        if self.residual_k < 0:
+            raise ConfigError(f"residual_k must be >= 0, got {self.residual_k}")
+        _check_beta(self.residual_beta, "residual_beta")
         if self.picard_tol <= 0:
-            raise ValueError("picard_tol must be positive")
+            raise ConfigError("picard_tol must be positive")
+        if self.picard_max_iter < 1:
+            raise ConfigError(f"picard_max_iter must be >= 1, got {self.picard_max_iter}")
+        if self.picard_window <= 0:
+            raise ConfigError("picard_window must be positive")
+        if self.control.duration < self.t_final:
+            raise ConfigError(f"control duration {self.control.duration} is shorter than t_final")
+        if basis is None:
+            return
+        fit = (basis.dim, basis.n_modes, basis.n_nodes)
+        if fit != (self.dim, self.n_modes, self.quad_factor * self.n_modes):
+            raise ConfigError(f"basis (dim, n_modes, n_nodes) = {fit} does not fit the config")
+        if self.potential.grid_values.shape != (basis.n_nodes,) * basis.dim:
+            raise ConfigError(f"potential grid {self.potential.grid_values.shape} does not fit the basis")
+        if self.initial_state.kind == "eigenstate":
+            basis_state(basis, self.initial_state.mode)
 
 
 @dataclass(frozen=True)
@@ -134,12 +164,7 @@ def make_initial_state(basis: HermiteBasis, spec: InitialState) -> SpectralField
     n, d = basis.n_modes, basis.dim
     shape = (n,) * d
     if spec.kind == "eigenstate":
-        mode = tuple(spec.mode) if not np.isscalar(spec.mode) else (spec.mode,)
-        if len(mode) != d:
-            raise ValueError("eigenstate mode index does not match dim")
-        c = np.zeros(shape, dtype=complex)
-        c[mode] = 1.0
-        return spectral_field(basis, c)
+        return basis_state(basis, spec.mode)
     if spec.kind == "coherent":
         alpha = complex(spec.displacement)
         k = np.arange(n)
@@ -152,15 +177,14 @@ def make_initial_state(basis: HermiteBasis, spec: InitialState) -> SpectralField
             c = np.multiply.outer(c, axis)
         c = c / np.sqrt(np.sum(np.abs(c) ** 2))
         return spectral_field(basis, c)
-    if spec.kind == "random_decay":
-        rng = np.random.default_rng(spec.seed)
-        lam = eigenvalues(d, n)
-        rho = lam ** -(spec.decay + 0.5)
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-        c = rho * np.exp(1j * theta)
-        c = c / np.sqrt(np.sum(np.abs(c) ** 2))
-        return spectral_field(basis, c)
-    raise ValueError(f"unknown initial state kind {spec.kind!r}")
+    # random_decay
+    rng = np.random.default_rng(spec.seed)
+    lam = eigenvalues(d, n)
+    rho = lam ** -(spec.decay + 0.5)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=shape)
+    c = rho * np.exp(1j * theta)
+    c = c / np.sqrt(np.sum(np.abs(c) ** 2))
+    return spectral_field(basis, c)
 
 
 def grid_nonlinear_phase(
@@ -207,7 +231,7 @@ def strang_step(
 ) -> SpectralField:
     """One split step: half free flow, exact pointwise phase, half free flow."""
     if dt <= 0:
-        raise ValueError("dt must be positive")
+        raise ConfigError("dt must be positive")
     stepper = _StrangStepper(basis, cfg, dt)
     u_int = cfg.control.integral(t, t + dt)
     return SpectralField(state.dim, state.n_modes, stepper.step(state.coeffs, u_int))
@@ -226,10 +250,7 @@ def _energy(basis: HermiteBasis, coeffs: np.ndarray, values: np.ndarray) -> floa
     lam = eigenvalues(basis.dim, basis.n_modes)
     a2 = np.abs(coeffs) ** 2
     quad_part = float(np.sum(lam * a2) + np.sum(a2))
-    v = np.abs(values) ** 4
-    for _ in range(basis.dim):
-        v = np.tensordot(v, basis.phys_weights, axes=(0, 0))
-    return quad_part + 0.5 * float(v)
+    return quad_part + 0.5 * float(_quad_sum(basis, np.abs(values) ** 4))
 
 
 def _record(
@@ -264,9 +285,10 @@ def simulate(basis: HermiteBasis, cfg: SimConfig) -> Trajectory:
 
     Record times snap to the nearest integrator step.  Deterministic for a
     given config (the only randomness is the seeded initial state).
-    Raises SimulationDiverged when the H1 norm passes the guard.
+    Raises SimulationDiverged when the H1 norm passes the guard, and
+    ConfigError when the basis, potential or control does not fit cfg.
     """
-    cfg.validate()
+    cfg.validate(basis)
     psi0 = make_initial_state(basis, cfg.initial_state)
     n_steps = max(1, int(round(cfg.t_final / cfg.dt)))
     dt = cfg.t_final / n_steps
@@ -320,7 +342,7 @@ def picard_solve(
     enough for the map to contract; callers restart in windows otherwise.
     Successive iterates are compared in the sup-over-time L2 distance.
     """
-    cfg.validate()
+    cfg.validate(basis)
     if psi0 is None:
         psi0 = make_initial_state(basis, cfg.initial_state)
     n = max(1, int(round(t_final / cfg.dt)))
@@ -380,7 +402,3 @@ def _simulate_picard(basis, cfg, psi0, n_steps, dt, record_at) -> Trajectory:
             records.append(_record(basis, cfg, j1 * dt, c, psi0))
     return Trajectory(cfg, dt, psi0, records)
 
-
-def config_with(cfg: SimConfig, **kwargs) -> SimConfig:
-    """Convenience copy-with-changes for experiment sweeps."""
-    return replace(cfg, **kwargs)

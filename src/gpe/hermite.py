@@ -33,6 +33,10 @@ MAX_QUAD_NODES = 8192
 MAX_MODES = 1024
 
 
+class ConfigError(ValueError):
+    """Raised by every input check: a value out of range, or inputs that do not fit together."""
+
+
 @dataclass(frozen=True)
 class HermiteBasis:
     """Per-axis quadrature rule plus the table of basis-function values.
@@ -158,7 +162,7 @@ def gauss_hermite(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     W_i = 1 / (m * h_{m-1}(x_i)^2), which never over- or underflows.
     """
     if m < 2:
-        raise ValueError("quadrature size must be at least 2")
+        raise ConfigError("quadrature size must be at least 2")
     off = np.sqrt(np.arange(1, m) / 2.0)
     x = eigh_tridiagonal(np.zeros(m), off, eigvals_only=True)
     for _ in range(12):
@@ -188,15 +192,15 @@ def build_basis(dim: int, n_modes: int, quad_factor: int = 2) -> HermiteBasis:
     dealiasing studies.
     """
     if dim not in (1, 2, 3):
-        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+        raise ConfigError(f"dim must be 1, 2 or 3, got {dim}")
     if not 2 <= n_modes <= MAX_MODES:
-        raise ValueError(f"n_modes must be in [2, {MAX_MODES}], got {n_modes}")
+        raise ConfigError(f"n_modes must be in [2, {MAX_MODES}], got {n_modes}")
     if quad_factor < 2:
-        raise ValueError(f"quad_factor must be >= 2, got {quad_factor}")
+        raise ConfigError(f"quad_factor must be >= 2, got {quad_factor}")
     m = quad_factor * n_modes
     if m > MAX_QUAD_NODES:
-        raise ValueError(
-            f"quadrature size {m} exceeds the build guard {MAX_QUAD_NODES}"
+        raise ConfigError(
+            f"quadrature size quad_factor * n_modes = {m} exceeds the build guard {MAX_QUAD_NODES}"
         )
     nodes, phys, quad = gauss_hermite(m)
     table = hermite_values(n_modes, nodes)
@@ -208,9 +212,9 @@ def spectral_field(basis: HermiteBasis, coeffs: np.ndarray) -> SpectralField:
     coeffs = np.asarray(coeffs, dtype=complex)
     shape = (basis.n_modes,) * basis.dim
     if coeffs.shape != shape:
-        raise ValueError(f"coefficient shape {coeffs.shape} does not match {shape}")
+        raise ConfigError(f"coefficient shape {coeffs.shape} does not match {shape}")
     if not np.all(np.isfinite(coeffs)):
-        raise ValueError("coefficients contain NaN or Inf")
+        raise ConfigError("coefficients contain NaN or Inf")
     return SpectralField(basis.dim, basis.n_modes, coeffs)
 
 
@@ -218,9 +222,9 @@ def basis_state(basis: HermiteBasis, k) -> SpectralField:
     """The eigenstate with multi-index k (an int in 1d, a tuple otherwise)."""
     idx = (k,) if np.isscalar(k) else tuple(k)
     if len(idx) != basis.dim:
-        raise ValueError(f"mode index {k} has wrong length for dim {basis.dim}")
+        raise ConfigError(f"mode index k = {k} has wrong length for dim {basis.dim}")
     if any(not 0 <= j < basis.n_modes for j in idx):
-        raise ValueError(f"mode index {k} outside truncation {basis.n_modes}")
+        raise ConfigError(f"mode index k = {k} outside truncation {basis.n_modes}")
     coeffs = np.zeros((basis.n_modes,) * basis.dim, dtype=complex)
     coeffs[idx] = 1.0
     return SpectralField(basis.dim, basis.n_modes, coeffs)
@@ -266,7 +270,7 @@ def _analyze(basis: HermiteBasis, values: np.ndarray) -> np.ndarray:
 def to_grid(basis: HermiteBasis, f: SpectralField) -> GridField:
     """Synthesis: values_i = sum_k c_k prod_j h_{k_j}(x_{i_j}).  Linear in f."""
     if f.dim != basis.dim or f.n_modes != basis.n_modes:
-        raise ValueError(
+        raise ConfigError(
             f"field (dim={f.dim}, n_modes={f.n_modes}) does not match basis "
             f"(dim={basis.dim}, n_modes={basis.n_modes})"
         )
@@ -277,15 +281,20 @@ def to_spectral(basis: HermiteBasis, g: GridField) -> SpectralField:
     """Analysis by quadrature: c_k = sum_i W_i g(x_i) prod_j h_{k_j}(x_{i_j})."""
     shape = (basis.n_nodes,) * basis.dim
     if g.dim != basis.dim or g.values.shape != shape:
-        raise ValueError(
+        raise ConfigError(
             f"grid shape {g.values.shape} does not match basis nodes {shape}"
         )
     return SpectralField(basis.dim, basis.n_modes, _analyze(basis, g.values))
 
 
+def _quad_sum(basis: HermiteBasis, v: np.ndarray) -> np.ndarray:
+    """Tensor quadrature sum over the last dim (grid) axes of v; a leading batch axis rides along."""
+    lead = v.ndim - basis.dim
+    for _ in range(basis.dim):
+        v = np.tensordot(v, basis.phys_weights, axes=(lead, 0))
+    return v
+
+
 def quadrature_l2(basis: HermiteBasis, g: GridField) -> float:
     """L2 norm of a grid field via the tensor quadrature rule."""
-    v = np.abs(g.values) ** 2
-    for _ in range(basis.dim):
-        v = np.tensordot(v, basis.phys_weights, axes=(0, 0))
-    return float(np.sqrt(v))
+    return float(np.sqrt(_quad_sum(basis, np.abs(g.values) ** 2)))

@@ -15,10 +15,12 @@ from functools import reduce
 import numpy as np
 
 from .hermite import (
+    ConfigError,
     GridField,
     HermiteBasis,
     SpectralField,
     _contract,
+    _quad_sum,
     _synthesize,
     to_grid,
 )
@@ -32,10 +34,16 @@ def eigenvalues(dim: int, n_modes: int) -> np.ndarray:
     return reduce(np.add.outer, [axis] * dim)
 
 
+def _check_beta(beta: float, name: str = "beta") -> None:
+    """Smoothing orders live in [0, 1/2); the endpoint 1/2 is excluded."""
+    if not 0.0 <= beta < 0.5:
+        raise ConfigError(f"{name} must satisfy 0 <= {name} < 1/2, got {beta}")
+
+
 def apply_fractional_H(basis: HermiteBasis, f: SpectralField, s: float) -> SpectralField:
     """Multiply coefficients by lam_k^s.  Negative s inverts the positive power."""
     if f.dim != basis.dim or f.n_modes != basis.n_modes:
-        raise ValueError("field does not match basis")
+        raise ConfigError("field does not match basis")
     lam = eigenvalues(basis.dim, basis.n_modes)
     return SpectralField(f.dim, f.n_modes, f.coeffs * lam**s)
 
@@ -43,7 +51,7 @@ def apply_fractional_H(basis: HermiteBasis, f: SpectralField, s: float) -> Spect
 def sobolev_norm(basis: HermiteBasis, f: SpectralField, s: float) -> float:
     """Oscillator Sobolev norm (sum_k lam_k^s |c_k|^2)^(1/2); s = 0 is L2."""
     if s < 0:
-        raise ValueError("sobolev_norm requires s >= 0")
+        raise ConfigError(f"sobolev_norm requires s >= 0, got {s}")
     lam = eigenvalues(basis.dim, basis.n_modes)
     return float(np.sqrt(np.sum(lam**s * np.abs(f.coeffs) ** 2)))
 
@@ -55,19 +63,16 @@ def lp_norm(basis: HermiteBasis, g: GridField, p: float) -> float:
     for a synthesis-based sharpening.
     """
     if p < 1:
-        raise ValueError("lp_norm requires p >= 1")
+        raise ConfigError("lp_norm requires p >= 1")
     if np.isinf(p):
         return float(np.max(np.abs(g.values)))
-    v = np.abs(g.values) ** p
-    for _ in range(basis.dim):
-        v = np.tensordot(v, basis.phys_weights, axes=(0, 0))
-    return float(v ** (1.0 / p))
+    return float(_quad_sum(basis, np.abs(g.values) ** p) ** (1.0 / p))
 
 
 def wsp_norm(basis: HermiteBasis, f: SpectralField, s: float, p: float) -> float:
     """Mixed Sobolev-Lp norm, computed as the Lp norm of H^(s/2) f."""
     if s < 0:
-        raise ValueError("wsp_norm requires s >= 0")
+        raise ConfigError("wsp_norm requires s >= 0")
     return lp_norm(basis, to_grid(basis, apply_fractional_H(basis, f, s / 2.0)), p)
 
 
@@ -114,13 +119,12 @@ def kato_functional(
     rule with n_time panels.  Defined for 0 <= beta < 1/2 only; the
     endpoint beta = 1/2 is rejected.
     """
-    if not 0.0 <= beta < 0.5:
-        raise ValueError(f"beta must satisfy 0 <= beta < 1/2, got {beta}")
+    _check_beta(beta)
     if n_time < 16:
-        raise ValueError(f"n_time must be at least 16, got {n_time}")
+        raise ConfigError(f"n_time must be at least 16, got {n_time}")
     t0, t1 = float(t_window[0]), float(t_window[1])
     if not t1 > t0:
-        raise ValueError("empty time window")
+        raise ConfigError(f"t_window must satisfy t0 < t1, got ({t0}, {t1})")
     ts = np.linspace(t0, t1, n_time + 1)
 
     lam = eigenvalues(basis.dim, basis.n_modes)
@@ -132,10 +136,7 @@ def kato_functional(
 
     # fold the weight <x>^(-1/2) squared into the quadrature weights
     r2 = reduce(np.add.outer, [basis.nodes**2] * basis.dim)
-    dens = np.abs(grids) ** 2 / np.sqrt(1.0 + r2)
-    w = basis.phys_weights
-    for _ in range(basis.dim):
-        dens = np.tensordot(dens, w, axes=(1, 0))
+    dens = _quad_sum(basis, np.abs(grids) ** 2 / np.sqrt(1.0 + r2))
     return float(np.sqrt(np.trapezoid(dens, ts)))
 
 

@@ -10,6 +10,7 @@ prints one PASS/FAIL line per criterion.
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from gpe.diagnostics import (
     smoothing_residual_series,
     weak_limit_experiment,
 )
-from gpe.dynamics import InitialState, SimConfig, config_with, picard_solve, simulate
+from gpe.dynamics import InitialState, SimConfig, picard_solve, simulate
 from gpe.hermite import basis_state, build_basis, to_grid, to_spectral
 from gpe.operators import kato_functional, sobolev_norm
 
@@ -130,10 +131,10 @@ def test_criterion_04_strang_order():
         potential=pot, control=u, record_times=(1.0,),
     )
     dts = (4e-3, 2e-3, 1e-3, 5e-4)
-    ref = simulate(b, config_with(cfg, dt=min(dts) / 16.0)).final_state.coeffs
+    ref = simulate(b, replace(cfg, dt=min(dts) / 16.0)).final_state.coeffs
     errs = []
     for dt in dts:
-        final = simulate(b, config_with(cfg, dt=dt)).final_state.coeffs
+        final = simulate(b, replace(cfg, dt=dt)).final_state.coeffs
         errs.append(float(np.sqrt(np.sum(np.abs(final - ref) ** 2))))
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
     elapsed = time.perf_counter() - start
@@ -175,7 +176,7 @@ def test_criterion_05_integrator_cross_agreement():
     for scale in (0.5, 1.5, 3.0, 5.0):
         u = ControlSignal.piecewise_constant([0.6 * scale], 0.1)
         if c_meas * u.abs_integral(0.0, 0.1) * k_norm < 0.5:
-            res = picard_solve(b, config_with(cfg0, control=u), 0.1)
+            res = picard_solve(b, replace(cfg0, control=u), 0.1)
             contracted = contracted and all(r < 1.0 for r in res.ratios)
             checked += 1
     _report(
@@ -197,7 +198,7 @@ def test_criterion_06_energy_bound():
         worst_excess = max(worst_excess, -(res.margin + tol))
     # exact conservation case
     cfg = _random_config(b, np.random.default_rng(5000), sigma=1)
-    cfg = config_with(cfg, control=ControlSignal.zero(cfg.t_final))
+    cfg = replace(cfg, control=ControlSignal.zero(cfg.t_final))
     traj = simulate(b, cfg)
     e0 = traj.records[0].energy
     drift = max(abs(r.energy - e0) for r in traj.records)
@@ -268,7 +269,7 @@ def test_criterion_09_smoothing_residual():
     for k0 in (32, 64, 128):
         cap = 0.0
         for u in controls:
-            cfg = config_with(cfg0, initial_state=InitialState("eigenstate", (k0,)), control=u)
+            cfg = replace(cfg0, initial_state=InitialState("eigenstate", (k0,)), control=u)
             series = smoothing_residual_series(simulate(b, cfg), b, 0, beta)
             cap = max(cap, max(r for _, r in series))
         caps[k0] = cap / (2.0 * k0 + 1.0) ** (beta / 2.0)

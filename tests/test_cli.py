@@ -67,6 +67,43 @@ def test_negative_dt_names_field(tmp_path, capsys):
     assert "dt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fixture, key",
+    [
+        ("kato_quad_factor_one", "quad_factor"),
+        ("kato_modes_too_large", "n_modes"),
+        ("kato_window_reversed", "window"),
+        ("kato_window_strings", "window"),
+        ("kato_bad_beta", "beta"),
+        ("attainable_n_segments_zero", "n_segments"),
+        ("attainable_n_segments_string", "n_segments"),
+        ("attainable_k_string", "diagnostic.k"),
+        ("attainable_cutoffs_string", "cutoffs"),
+        ("convergence_dts_strings", "dts"),
+        ("convergence_dts_negative", "dts"),
+        ("eigenstate_k_out_of_range", "k = "),
+        ("eigenstate_k_wrong_length", "k = "),
+        ("coherent_displacement_string", "displacement"),
+        ("residual_k_negative", "residual_k"),
+        ("control_values_string", "values"),
+        ("weak_limit_n_list_empty", "n_list"),
+        ("random_decay_seed_negative", "seed"),
+        ("picard_max_iter_zero", "picard_max_iter"),
+        ("potential_max_order_negative", "max_order"),
+        ("smoothing_sigma_cubic", "sigma"),
+        ("sobolev_negative", "sobolev_s"),
+        ("record_out_of_range", "record_times"),
+    ],
+)
+def test_bad_config_names_key(tmp_path, capsys, fixture, key):
+    code = run(str(DATA / "bad_configs" / f"{fixture}.json"), output_override=str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert key in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     cfg = minimal_simulate(tmp_path)
     cfg["sim"]["extra_knob"] = 3

@@ -101,6 +101,8 @@ def test_other_potential_kinds(basis64):
         assert pot.grad_sup > 0.0
     with pytest.raises(ValueError):
         make_potential(basis64, "unknown_kind")
+    with pytest.raises(ValueError, match="max_order"):
+        make_potential(basis64, "sech", max_order=-1)
 
 
 def test_sampled_potential(basis64):

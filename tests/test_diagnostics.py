@@ -188,6 +188,15 @@ def test_attainable_deterministic(basis64):
     assert any(not np.array_equal(pa.masses, pc.masses) for pa, pc in zip(a, c))
 
 
+def test_attainable_never_runs_past_t_final(basis32):
+    # T = 0.3 is not a multiple of dt = 0.007: seed 7 draws t* = 0.29865,
+    # which rounds to 43 steps, 0.301 > T, and must stop at T instead
+    cfg = bump_config(basis32, sigma=0, t_final=0.3, dt=0.007)
+    profs = attainable_ensemble(basis32, cfg, 2, 1.0, seed=7, k=0, beta=0.4)
+    assert len(profs) == 2
+    assert all(np.all(np.isfinite(p.masses)) for p in profs)
+
+
 def test_attainable_rejects_nonlinear(basis64):
     cfg = bump_config(basis64, sigma=1, dt=2e-3)
     with pytest.raises(ValueError):

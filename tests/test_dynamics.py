@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -16,7 +18,7 @@ from gpe.dynamics import (
     simulate,
     strang_step,
 )
-from gpe.hermite import GridField, basis_state, spectral_field
+from gpe.hermite import ConfigError, GridField, basis_state, build_basis, spectral_field
 from gpe.operators import free_propagate
 
 from conftest import random_spectral
@@ -49,6 +51,10 @@ def test_initial_states(basis64):
     assert np.sum(np.abs(r1.coeffs) ** 2) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
         make_initial_state(basis64, InitialState("squeezed"))
+    with pytest.raises(ConfigError, match="seed"):
+        InitialState("random_decay", seed=-1)
+    with pytest.raises(ConfigError, match="k = "):
+        make_initial_state(basis64, InitialState("eigenstate", (64,)))
 
 
 def test_grid_nonlinear_phase_pure_potential(basis32):
@@ -165,7 +171,7 @@ def test_divergence_guard(basis64, monkeypatch):
 
 def test_record_snapping(basis64):
     cfg = bump_config(basis64, sigma=0, t_final=1.0, dt=1e-3)
-    cfg = dynamics.config_with(cfg, record_times=(0.0, 0.25054, 1.0))
+    cfg = replace(cfg, record_times=(0.0, 0.25054, 1.0))
     traj = simulate(basis64, cfg)
     assert traj.times[1] == pytest.approx(0.251, abs=1e-12)
 
@@ -231,7 +237,7 @@ def test_simulate_picard_integrator_matches_strang(basis64):
     cfg_p = bump_config(
         basis64, sigma=0, control=u, t_final=0.2, dt=1e-3, integrator="picard", picard_window=0.05
     )
-    cfg_s = dynamics.config_with(cfg_p, integrator="strang")
+    cfg_s = replace(cfg_p, integrator="strang")
     final_p = simulate(basis64, cfg_p).final_state.coeffs
     final_s = simulate(basis64, cfg_s).final_state.coeffs
     assert np.sqrt(np.sum(np.abs(final_p - final_s) ** 2)) <= 1e-5
@@ -256,10 +262,32 @@ def test_simulate_d2_conserves_l2():
 def test_config_validation(basis64):
     cfg = bump_config(basis64)
     with pytest.raises(ValueError):
-        dynamics.config_with(cfg, sigma=2).validate()
+        replace(cfg, sigma=2).validate()
     with pytest.raises(ValueError):
-        dynamics.config_with(cfg, dt=-1.0).validate()
+        replace(cfg, dt=-1.0).validate()
     with pytest.raises(ValueError):
-        dynamics.config_with(cfg, record_times=(2.0,)).validate()
+        replace(cfg, record_times=(2.0,)).validate()
     with pytest.raises(ValueError):
-        dynamics.config_with(cfg, integrator="euler").validate()
+        replace(cfg, integrator="euler").validate()
+    for field, value in [("picard_max_iter", 0), ("picard_window", 0.0), ("residual_k", -1),
+                         ("residual_beta", 0.5), ("sobolev_s", (0.0, -1.0))]:
+        with pytest.raises(ConfigError, match=field):
+            replace(cfg, **{field: value}).validate()
+
+
+@pytest.mark.parametrize("mismatch", ["basis", "potential", "control"])
+def test_simulate_refuses_inputs_that_do_not_fit(basis64, mismatch):
+    basis = basis64
+    cfg = bump_config(basis64, sigma=0, t_final=0.1, dt=1e-3)
+    if mismatch == "basis":
+        cfg = replace(cfg, n_modes=32)
+    elif mismatch == "potential":
+        basis = build_basis(2, 16)
+        pot_1d = make_potential(build_basis(1, 16), "gaussian_bump")
+        cfg = replace(bump_config(basis, sigma=0, t_final=0.1, dt=1e-3), potential=pot_1d)
+    else:
+        cfg = replace(cfg, control=ControlSignal.zero(0.05))
+    with pytest.raises(ConfigError, match=mismatch):
+        simulate(basis, cfg)
+    with pytest.raises(ConfigError, match=mismatch):
+        picard_solve(basis, cfg, cfg.t_final)
