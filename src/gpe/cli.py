@@ -30,6 +30,7 @@ import numpy as np
 from .controls import ControlSignal, make_potential
 from .diagnostics import (
     attainable_ensemble,
+    check_smoothing_run,
     holder_quotient,
     residual_states,
     smoothing_residual_series,
@@ -299,7 +300,7 @@ def _run_kato_scan(config: dict, seed: int) -> dict:
             val = kato_functional(basis, phi, beta, (window[0], window[1]), n_time)
             rows.append({
                 "k": k,
-                "lambda": 2.0 * k + 1.0,
+                "lambda": float(basis.lam[k]),
                 "kato": val,
                 "sobolev_2beta": sobolev_norm(basis, phi, 2.0 * beta),
             })
@@ -313,6 +314,7 @@ def _run_smoothing(config: dict, seed: int) -> dict:
     beta = _optional(diag, "beta", "diagnostic", _number, 0.4)
     alpha = _optional(diag, "alpha", "diagnostic", _number, 0.25)
     basis, cfg = build_simulation(config["sim"], seed_shift=seed)
+    check_smoothing_run(cfg, k, beta, alpha)
     traj = simulate(basis, cfg)
     series = smoothing_residual_series(traj, basis, k, beta)
     est = holder_quotient(residual_states(traj, basis), basis, k + beta, alpha, min_dt=traj.dt)

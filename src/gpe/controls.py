@@ -85,48 +85,30 @@ class ControlSignal:
             return self.base(t) + osc
         raise ConfigError(f"unknown control kind {self.kind!r}")
 
-    def _clamp(self, a: float, b: float) -> tuple[float, float]:
-        a = min(max(a, 0.0), self.duration)
-        b = min(max(b, 0.0), self.duration)
-        if b < a:
+    def _clamp(self, a, b):
+        a = np.clip(a, 0.0, self.duration)
+        b = np.clip(b, 0.0, self.duration)
+        if np.any(b < a):
             raise ConfigError("integration bounds out of order")
         return a, b
 
-    def integral(self, a: float, b: float) -> float:
-        """Signed integral of u over [a, b]; exact for the signal model."""
+    def integral(self, a, b):
+        """Signed integral of u over [a, b]; exact for the signal model.
+
+        a and b may be arrays of interval ends; the bounds clamp to
+        [0, duration], so intervals past the end integrate to 0.
+        """
         a, b = self._clamp(a, b)
-        if self.kind == "zero" or a == b:
-            return 0.0
+        if self.kind == "zero":
+            return 0.0 * (b - a)
         if self.kind == "piecewise_constant":
-            return float(self._pw_antideriv(b) - self._pw_antideriv(a))
+            return self._pw_antideriv(b, self.values) - self._pw_antideriv(a, self.values)
         if self.kind == "sampled":
-            ts, vs = self._panels(a, b)
-            return float(np.trapezoid(vs, ts))
+            return self._linear_antideriv(b) - self._linear_antideriv(a)
         if self.kind == "sinusoid_perturbed":
             w = 2.0 * np.pi * self.n_freq / self.duration
             osc = self.amplitude / w * (np.cos(w * a) - np.cos(w * b))
-            return self.base.integral(a, b) + float(osc)
-        raise ConfigError(f"unknown control kind {self.kind!r}")
-
-    def step_integrals(self, dt: float, n_steps: int) -> np.ndarray:
-        """integral(j dt, (j + 1) dt) for j < n_steps, as one array.
-
-        The step edges clamp to [0, duration] as in integral(), so steps
-        past the end integrate to 0.  Closed forms for every kind but
-        sampled, which integrates step by step.
-        """
-        if self.kind == "sampled":
-            return np.array([self.integral(j * dt, (j + 1) * dt) for j in range(n_steps)])
-        t = np.clip(np.arange(n_steps + 1) * dt, 0.0, self.duration)
-        if self.kind == "zero":
-            return np.zeros(n_steps)
-        if self.kind == "piecewise_constant":
-            return np.diff(self._pw_antideriv(t))
-        if self.kind == "sinusoid_perturbed":
-            w = 2.0 * np.pi * self.n_freq / self.duration
-            c = np.cos(w * t)
-            osc = self.amplitude / w * (c[:-1] - c[1:])
-            return self.base.step_integrals(dt, n_steps) + osc
+            return self.base.integral(a, b) + osc
         raise ConfigError(f"unknown control kind {self.kind!r}")
 
     def abs_integral(self, a: float, b: float) -> float:
@@ -135,8 +117,8 @@ class ControlSignal:
         if self.kind == "zero" or a == b:
             return 0.0
         if self.kind == "piecewise_constant":
-            pieces = self._pw_pieces(a, b)
-            return float(sum(abs(v) * (t1 - t0) for t0, t1, v in pieces))
+            v = np.abs(self.values)
+            return float(self._pw_antideriv(b, v) - self._pw_antideriv(a, v))
         if self.kind == "sampled":
             ts, vs = self._panels(a, b)
             total = 0.0
@@ -167,25 +149,21 @@ class ControlSignal:
         ts = np.linspace(0.0, self.duration, max(4097, 64 * max(1, self.n_freq) + 1))
         return float(np.trapezoid(np.abs(self(ts)) ** r, ts) ** (1.0 / r))
 
-    def _pw_antideriv(self, t):
-        """Antiderivative from 0 of a piecewise-constant u, for t in [0, duration]."""
-        v = self.values
+    def _pw_antideriv(self, t, v):
+        """Antiderivative from 0 of the step function with segment values v, for t in [0, duration]."""
         delta = self.duration / v.size
         j = np.minimum(np.floor(t / delta).astype(int), v.size - 1)
         prefix = np.concatenate(([0.0], np.cumsum(v)))
         return delta * prefix[j] + v[j] * (t - j * delta)
 
-    def _pw_pieces(self, a: float, b: float):
+    def _linear_antideriv(self, t):
+        """Antiderivative from 0 of the sampled interpolant, for t in [0, duration]."""
         v = self.values
-        delta = self.duration / v.size
-        edges = [a] + [
-            j * delta for j in range(1, v.size) if a < j * delta < b
-        ] + [b]
-        out = []
-        for t0, t1 in zip(edges[:-1], edges[1:]):
-            j = min(int(np.floor(t0 / delta)), v.size - 1)
-            out.append((t0, t1, v[j]))
-        return out
+        h = self.duration / (v.size - 1)
+        j = np.minimum(np.floor(t / h).astype(int), v.size - 2)
+        prefix = np.concatenate(([0.0], np.cumsum(0.5 * h * (v[:-1] + v[1:]))))
+        s = t - j * h
+        return prefix[j] + s * (v[j] + 0.5 * s * (v[j + 1] - v[j]) / h)
 
     def _panels(self, a: float, b: float):
         grid = np.linspace(0.0, self.duration, self.values.size)

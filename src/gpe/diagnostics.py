@@ -16,9 +16,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .controls import ControlSignal
-from .dynamics import SimConfig, Trajectory, simulate
+from .dynamics import SimConfig, Trajectory, energy, simulate
 from .hermite import ConfigError, HermiteBasis, SpectralField
-from .operators import _check_beta, check_admissible, eigenvalues, sobolev_norm, wsp_norm
+from .operators import _check_beta, check_admissible, free_propagate, sobolev_norm, wsp_norm
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,6 @@ class CheckResult(NamedTuple):
 
 def residual_states(traj: Trajectory, basis: HermiteBasis):
     """(t, psi(t) - e^{itH} psi0) over the recorded times."""
-    from .operators import free_propagate
-
     out = []
     for rec in traj.records:
         free = free_propagate(basis, traj.psi0, rec.t)
@@ -74,6 +72,29 @@ def residual_states(traj: Trajectory, basis: HermiteBasis):
             (rec.t, SpectralField(basis.dim, basis.n_modes, rec.state.coeffs - free.coeffs))
         )
     return out
+
+
+def _check_residual(sigma: int, k: int, beta: float) -> None:
+    if sigma != 0:
+        raise ConfigError(f"sigma must be 0 (the smoothing residual is for bilinear runs), got {sigma}")
+    _check_beta(beta)
+    if k < 0 or k % 2 != 0:
+        raise ConfigError(f"k must be an even nonnegative integer, got {k}")
+
+
+def _check_holder(n_samples: int, alpha: float) -> None:
+    if not 0.0 < alpha <= 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
+    if n_samples < 2:
+        raise ConfigError(f"record_times: the Holder quotient needs at least two samples, got {n_samples}")
+
+
+def check_smoothing_run(cfg: SimConfig, k: int, beta: float, alpha: float) -> None:
+    """Refuse, before simulate steps, a smoothing run that smoothing_residual_series
+    or holder_quotient would refuse afterwards: a sigma other than 0, a bad
+    k, beta or alpha, or fewer than two record times."""
+    _check_residual(cfg.sigma, k, beta)
+    _check_holder(len(cfg.record_times or (0.0, cfg.t_final)), alpha)
 
 
 def smoothing_residual_series(
@@ -84,11 +105,7 @@ def smoothing_residual_series(
     Requires a sigma = 0 trajectory and 0 <= beta < 1/2; k is an even
     integer.  The series starts at 0 exactly.
     """
-    if traj.cfg.sigma != 0:
-        raise ConfigError("smoothing residual is defined for bilinear (sigma = 0) runs")
-    _check_beta(beta)
-    if k < 0 or k % 2 != 0:
-        raise ConfigError(f"k must be an even nonnegative integer, got {k}")
+    _check_residual(traj.cfg.sigma, k, beta)
     s = k + beta
     return [(t, sobolev_norm(basis, st, s)) for t, st in residual_states(traj, basis)]
 
@@ -105,10 +122,7 @@ def holder_quotient(
     Pairs closer than min_dt are skipped.  A constant series gives
     quotient 0 and an undefined fitted exponent.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
-    if len(series) < 2:
-        raise ConfigError("need at least two samples")
+    _check_holder(len(series), alpha)
     log_dt, log_df, qsup = [], [], 0.0
     for i in range(len(series)):
         for j in range(i + 1, len(series)):
@@ -185,10 +199,9 @@ def spectral_tail_profile(
     basis: HermiteBasis, f: SpectralField, weight_s: float, cutoffs
 ) -> TailProfile:
     """Masses sum_{lam_k > cutoff} lam_k^weight_s |c_k|^2, one per cutoff."""
-    lam = eigenvalues(basis.dim, basis.n_modes).reshape(-1)
-    w = lam**weight_s * np.abs(f.coeffs.reshape(-1)) ** 2
+    w = basis.lam**weight_s * np.abs(f.coeffs) ** 2
     cut = np.asarray(sorted(cutoffs), dtype=float)
-    masses = np.array([float(np.sum(w[lam > c])) for c in cut])
+    masses = np.array([float(np.sum(w[basis.lam > c])) for c in cut])
     return TailProfile(cut, masses, weight_s)
 
 
@@ -322,9 +335,7 @@ def energy_bound_check(
         raise ConfigError("the energy envelope applies to defocusing (sigma = 1) runs")
     if grad_sup is None:
         grad_sup = traj.cfg.potential.grad_sup
-    from .dynamics import energy as _energy
-
-    e0 = _energy(basis, traj.psi0)
+    e0 = energy(basis, traj.psi0)
     l2_0 = float(np.sqrt(np.sum(np.abs(traj.psi0.coeffs) ** 2)))
     tol = 10.0 * traj.dt**2 * e0
     margin = np.inf

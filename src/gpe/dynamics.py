@@ -14,6 +14,7 @@ potential/nonlinear phase, and a fixed-point iteration of the integral
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .hermite import (
     basis_state,
     spectral_field,
 )
-from .operators import _check_beta, eigenvalues, free_propagate, lp_norm, sobolev_norm
+from .operators import _check_beta, free_propagate, lp_norm, sobolev_norm
 
 H1_DIVERGENCE_LIMIT = 1.0e6
 
@@ -161,30 +162,21 @@ class Trajectory:
 
 def make_initial_state(basis: HermiteBasis, spec: InitialState) -> SpectralField:
     """Realize a named initial state as a unit-L2 coefficient array."""
-    n, d = basis.n_modes, basis.dim
-    shape = (n,) * d
     if spec.kind == "eigenstate":
         return basis_state(basis, spec.mode)
     if spec.kind == "coherent":
         alpha = complex(spec.displacement)
-        k = np.arange(n)
-        log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n)))))
+        k = np.arange(basis.n_modes)
+        log_fact = np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
         axis = np.exp(k * np.log(np.abs(alpha) + 1e-300) - 0.5 * log_fact) * np.exp(
             1j * k * np.angle(alpha)
         )
-        c = axis
-        for _ in range(d - 1):
-            c = np.multiply.outer(c, axis)
-        c = c / np.sqrt(np.sum(np.abs(c) ** 2))
-        return spectral_field(basis, c)
-    # random_decay
-    rng = np.random.default_rng(spec.seed)
-    lam = eigenvalues(d, n)
-    rho = lam ** -(spec.decay + 0.5)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-    c = rho * np.exp(1j * theta)
-    c = c / np.sqrt(np.sum(np.abs(c) ** 2))
-    return spectral_field(basis, c)
+        c = reduce(np.multiply.outer, [axis] * basis.dim)
+    else:  # random_decay
+        rng = np.random.default_rng(spec.seed)
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=basis.lam.shape)
+        c = basis.lam ** -(spec.decay + 0.5) * np.exp(1j * theta)
+    return spectral_field(basis, c / np.sqrt(np.sum(np.abs(c) ** 2)))
 
 
 def grid_nonlinear_phase(
@@ -212,9 +204,7 @@ class _StrangStepper:
         self.basis = basis
         self.cfg = cfg
         self.dt = dt
-        lam = eigenvalues(basis.dim, basis.n_modes)
-        self.lam = lam
-        self.half_phase = np.exp(0.5j * lam * dt)
+        self.half_phase = np.exp(0.5j * basis.lam * dt)
         self.k_values = cfg.potential.grid_values
 
     def step(self, coeffs: np.ndarray, u_int: float) -> np.ndarray:
@@ -224,17 +214,6 @@ class _StrangStepper:
         v = _phase_kernel(v, self.cfg.sigma, self.k_values, u_int, self.dt)
         c = _analyze(self.basis, v)
         return self.half_phase * c
-
-
-def strang_step(
-    basis: HermiteBasis, state: SpectralField, t: float, dt: float, cfg: SimConfig
-) -> SpectralField:
-    """One split step: half free flow, exact pointwise phase, half free flow."""
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    stepper = _StrangStepper(basis, cfg, dt)
-    u_int = cfg.control.integral(t, t + dt)
-    return SpectralField(state.dim, state.n_modes, stepper.step(state.coeffs, u_int))
 
 
 def energy(basis: HermiteBasis, state: SpectralField) -> float:
@@ -247,9 +226,8 @@ def energy(basis: HermiteBasis, state: SpectralField) -> float:
 
 def _energy(basis: HermiteBasis, coeffs: np.ndarray, values: np.ndarray) -> float:
     """energy() of the state with the given coefficients and grid values."""
-    lam = eigenvalues(basis.dim, basis.n_modes)
     a2 = np.abs(coeffs) ** 2
-    quad_part = float(np.sum(lam * a2) + np.sum(a2))
+    quad_part = float(np.sum(basis.lam * a2) + np.sum(a2))
     return quad_part + 0.5 * float(_quad_sum(basis, np.abs(values) ** 4))
 
 
@@ -269,6 +247,13 @@ def _record(
     values = _synthesize(basis, coeffs)
     linf = lp_norm(basis, GridField(basis.dim, values), np.inf)
     return TrajectoryRecord(t, state, l2, _energy(basis, coeffs, values), sob, res, linf)
+
+
+def _check_h1(basis: HermiteBasis, coeffs: np.ndarray, t: float) -> None:
+    """The divergence guard: raise SimulationDiverged once the H1 norm passes the limit."""
+    h1 = float(np.sqrt(np.sum(basis.lam * np.abs(coeffs) ** 2)))
+    if not np.isfinite(h1) or h1 > H1_DIVERGENCE_LIMIT:
+        raise SimulationDiverged(t, h1)
 
 
 def _snap_records(cfg: SimConfig, n_steps: int, dt: float) -> dict:
@@ -299,16 +284,14 @@ def simulate(basis: HermiteBasis, cfg: SimConfig) -> Trajectory:
         return _simulate_picard(basis, cfg, psi0, n_steps, dt, record_at)
 
     stepper = _StrangStepper(basis, cfg, dt)
-    lam = stepper.lam
-    u_ints = cfg.control.step_integrals(dt, n_steps)
+    edges = np.arange(n_steps + 1) * dt
+    u_ints = cfg.control.integral(edges[:-1], edges[1:])
     c = psi0.coeffs.copy()
     if 0 in record_at:
         records.append(_record(basis, cfg, 0.0, c, psi0))
     for j in range(n_steps):
         c = stepper.step(c, u_ints[j])
-        h1 = float(np.sqrt(np.sum(lam * np.abs(c) ** 2)))
-        if not np.isfinite(h1) or h1 > H1_DIVERGENCE_LIMIT:
-            raise SimulationDiverged((j + 1) * dt, h1)
+        _check_h1(basis, c, (j + 1) * dt)
         if (j + 1) in record_at:
             records.append(_record(basis, cfg, (j + 1) * dt, c, psi0))
     return Trajectory(cfg, dt, psi0, records)
@@ -348,11 +331,8 @@ def picard_solve(
     n = max(1, int(round(t_final / cfg.dt)))
     h = t_final / n
     ts = np.arange(n + 1) * h
-    lam_flat = eigenvalues(basis.dim, basis.n_modes).reshape(-1)
-    shape = (n + 1,) + (basis.n_modes,) * basis.dim
-
-    phases = np.exp(1j * np.outer(ts, lam_flat))
-    free = (phases * psi0.coeffs.reshape(-1)).reshape(shape)
+    phases = np.exp(1j * np.multiply.outer(ts, basis.lam))
+    free = phases * psi0.coeffs
     u_vals = cfg.control(t_offset + ts)
     k_grid = cfg.potential.grid_values
     gshape = (-1,) + (1,) * basis.dim
@@ -365,11 +345,10 @@ def picard_solve(
             -1j * u_vals.reshape(gshape) * k_grid * grids
             + 1j * cfg.sigma * np.abs(grids) ** 2 * grids
         )
-        fc = _analyze(basis, f).reshape(n + 1, -1)
-        fc *= np.conj(phases)
+        fc = _analyze(basis, f) * np.conj(phases)
         integral = np.zeros_like(fc)
         integral[1:] = np.cumsum(0.5 * h * (fc[:-1] + fc[1:]), axis=0)
-        new = free + (phases * integral).reshape(shape)
+        new = free + phases * integral
         dist = float(np.max(np.sqrt(np.sum(np.abs(new - psi) ** 2, axis=tuple(range(1, basis.dim + 1))))))
         if dists and dists[-1] > 0.0:
             ratios.append(dist / dists[-1])
@@ -382,7 +361,8 @@ def picard_solve(
 
 
 def _simulate_picard(basis, cfg, psi0, n_steps, dt, record_at) -> Trajectory:
-    """Windowed fixed-point marching used by simulate(integrator='picard')."""
+    """Windowed fixed-point marching used by simulate(integrator='picard');
+    the divergence guard runs after every window."""
     window_steps = max(1, int(round(cfg.picard_window / dt)))
     records = []
     c = psi0.coeffs.copy()
@@ -398,6 +378,7 @@ def _simulate_picard(basis, cfg, psi0, n_steps, dt, record_at) -> Trajectory:
             res = picard_solve(basis, cfg, span, psi0=start, t_offset=j0 * dt)
             c = res.state.coeffs
             j0 = jn
+            _check_h1(basis, c, j0 * dt)
         if j1 in record_at:
             records.append(_record(basis, cfg, j1 * dt, c, psi0))
     return Trajectory(cfg, dt, psi0, records)

@@ -22,7 +22,9 @@ entries finite for truncations up to N = 1024.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -51,6 +53,8 @@ class HermiteBasis:
         herm_table: h_k(x_i) for k < N, i < M, shape (N, M).
         analysis_table: herm_table * phys_weights, the quadrature analysis
             matrix, shape (N, M); computed once per basis.
+        lam: oscillator eigenvalues sum_j (2 k_j + 1), shape (N,) * dim;
+            computed once per basis.
     """
 
     dim: int
@@ -60,6 +64,7 @@ class HermiteBasis:
     phys_weights: np.ndarray
     herm_table: np.ndarray
     analysis_table: np.ndarray
+    lam: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -112,43 +117,38 @@ def _renorm(p: np.ndarray, q: np.ndarray, shift: np.ndarray):
     return np.ldexp(p, -ex), np.ldexp(q, -ex), shift + ex
 
 
-def hermite_values(n_max: int, x: np.ndarray) -> np.ndarray:
-    """Table h_k(x) for 0 <= k < n_max at the points x, shape (n_max,) + x.shape.
+def _hermite_pairs(x: np.ndarray, m: int):
+    """Yield (p, q, shift) with h_{k-1} = ldexp(p, shift), h_k = ldexp(q, shift) for k = 1 .. m.
 
     The recurrence runs on (mantissa, power-of-two exponent) pairs so that
     the deep classically forbidden region, where intermediate h_k underflow
     double precision, does not poison the later modes whose true values are
-    O(1) there.  Materialized entries below the double range round to 0.0.
+    O(1) there.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.zeros((n_max,) + x.shape)
     p, shift = _envelope_start(x)
-    out[0] = np.ldexp(p, shift)
-    if n_max == 1:
-        return out
     q = np.sqrt(2.0) * x * p
-    out[1] = np.ldexp(q, shift)
-    for k in range(1, n_max - 1):
+    yield p, q, shift
+    for k in range(1, m):
         p, q = q, x * np.sqrt(2.0 / (k + 1)) * q - np.sqrt(k / (k + 1.0)) * p
         p, q, shift = _renorm(p, q, shift)
-        out[k + 1] = np.ldexp(q, shift)
+        yield p, q, shift
+
+
+def hermite_values(n_max: int, x: np.ndarray) -> np.ndarray:
+    """Table h_k(x) for 0 <= k < n_max at the points x, shape (n_max,) + x.shape.
+
+    Materialized entries below the double range round to 0.0.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty((n_max,) + x.shape)
+    for k, (p, _, shift) in enumerate(_hermite_pairs(x, n_max)):
+        out[k] = np.ldexp(p, shift)
     return out
 
 
 def _scaled_pair(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mantissas of (h_{m-1}(x), h_m(x)) with a shared power-of-two shift.
-
-    Returns (p, q, shift) with h_{m-1} = ldexp(p, shift), h_m = ldexp(q, shift).
-    """
-    x = np.asarray(x, dtype=float)
-    p, shift = _envelope_start(x)
-    q = np.sqrt(2.0) * x * p
-    if m == 1:
-        return p, q, shift
-    for k in range(1, m):
-        p, q = q, x * np.sqrt(2.0 / (k + 1)) * q - np.sqrt(k / (k + 1.0)) * p
-        p, q, shift = _renorm(p, q, shift)
-    return p, q, shift
+    """Mantissas (p, q) of (h_{m-1}(x), h_m(x)) and their shared power-of-two shift."""
+    return deque(_hermite_pairs(x, m), maxlen=1)[0]
 
 
 def gauss_hermite(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -184,6 +184,14 @@ def gauss_hermite(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, phys, quad
 
 
+def eigenvalues(dim: int, n_modes: int) -> np.ndarray:
+    """Tensor of eigenvalues 2|k| + dim over the truncation rectangle."""
+    axis = 2.0 * np.arange(n_modes) + 1.0
+    if dim == 1:
+        return axis
+    return reduce(np.add.outer, [axis] * dim)
+
+
 def build_basis(dim: int, n_modes: int, quad_factor: int = 2) -> HermiteBasis:
     """Construct the discrete basis with M = quad_factor * n_modes nodes per axis.
 
@@ -204,7 +212,9 @@ def build_basis(dim: int, n_modes: int, quad_factor: int = 2) -> HermiteBasis:
         )
     nodes, phys, quad = gauss_hermite(m)
     table = hermite_values(n_modes, nodes)
-    return HermiteBasis(dim, n_modes, nodes, quad, phys, table, table * phys)
+    return HermiteBasis(
+        dim, n_modes, nodes, quad, phys, table, table * phys, eigenvalues(dim, n_modes)
+    )
 
 
 def spectral_field(basis: HermiteBasis, coeffs: np.ndarray) -> SpectralField:
@@ -293,8 +303,3 @@ def _quad_sum(basis: HermiteBasis, v: np.ndarray) -> np.ndarray:
     for _ in range(basis.dim):
         v = np.tensordot(v, basis.phys_weights, axes=(lead, 0))
     return v
-
-
-def quadrature_l2(basis: HermiteBasis, g: GridField) -> float:
-    """L2 norm of a grid field via the tensor quadrature rule."""
-    return float(np.sqrt(_quad_sum(basis, np.abs(g.values) ** 2)))

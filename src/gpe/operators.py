@@ -22,16 +22,10 @@ from .hermite import (
     _contract,
     _quad_sum,
     _synthesize,
+    eigenvalues,  # noqa: F401  (re-exported: gpe.operators.eigenvalues)
+    hermite_values,
     to_grid,
 )
-
-
-def eigenvalues(dim: int, n_modes: int) -> np.ndarray:
-    """Tensor of eigenvalues 2|k| + dim over the truncation rectangle."""
-    axis = 2.0 * np.arange(n_modes) + 1.0
-    if dim == 1:
-        return axis
-    return reduce(np.add.outer, [axis] * dim)
 
 
 def _check_beta(beta: float, name: str = "beta") -> None:
@@ -44,16 +38,14 @@ def apply_fractional_H(basis: HermiteBasis, f: SpectralField, s: float) -> Spect
     """Multiply coefficients by lam_k^s.  Negative s inverts the positive power."""
     if f.dim != basis.dim or f.n_modes != basis.n_modes:
         raise ConfigError("field does not match basis")
-    lam = eigenvalues(basis.dim, basis.n_modes)
-    return SpectralField(f.dim, f.n_modes, f.coeffs * lam**s)
+    return SpectralField(f.dim, f.n_modes, f.coeffs * basis.lam**s)
 
 
 def sobolev_norm(basis: HermiteBasis, f: SpectralField, s: float) -> float:
     """Oscillator Sobolev norm (sum_k lam_k^s |c_k|^2)^(1/2); s = 0 is L2."""
     if s < 0:
         raise ConfigError(f"sobolev_norm requires s >= 0, got {s}")
-    lam = eigenvalues(basis.dim, basis.n_modes)
-    return float(np.sqrt(np.sum(lam**s * np.abs(f.coeffs) ** 2)))
+    return float(np.sqrt(np.sum(basis.lam**s * np.abs(f.coeffs) ** 2)))
 
 
 def lp_norm(basis: HermiteBasis, g: GridField, p: float) -> float:
@@ -85,23 +77,19 @@ def sup_norm_refined(
     covering [-x_max, x_max].  Still a lower bound of the true sup, but a
     much tighter one than the quadrature-node max.
     """
-    from .hermite import hermite_values
-
     x_max = float(np.max(np.abs(basis.nodes)))
     n_pts = oversample * basis.n_nodes
     if basis.dim == 3:
         n_pts = min(n_pts, 128)
     xs = np.linspace(-x_max, x_max, n_pts)
     table = hermite_values(basis.n_modes, xs)
-    lam = eigenvalues(basis.dim, basis.n_modes)
-    v = _contract(table.T, f.coeffs * lam ** (s / 2.0), basis.dim)
+    v = _contract(table.T, f.coeffs * basis.lam ** (s / 2.0), basis.dim)
     return float(np.max(np.abs(v)))
 
 
 def free_propagate(basis: HermiteBasis, f: SpectralField, t: float) -> SpectralField:
     """Exact free flow: c_k -> exp(i lam_k t) c_k.  Isometric in every H^s."""
-    lam = eigenvalues(basis.dim, basis.n_modes)
-    return SpectralField(f.dim, f.n_modes, f.coeffs * np.exp(1j * lam * t))
+    return SpectralField(f.dim, f.n_modes, f.coeffs * np.exp(1j * basis.lam * t))
 
 
 def kato_functional(
@@ -127,12 +115,8 @@ def kato_functional(
         raise ConfigError(f"t_window must satisfy t0 < t1, got ({t0}, {t1})")
     ts = np.linspace(t0, t1, n_time + 1)
 
-    lam = eigenvalues(basis.dim, basis.n_modes)
-    amp = (phi.coeffs * lam ** (beta / 2.0)).reshape(-1)
-    lam_flat = lam.reshape(-1)
-    batch = np.exp(1j * np.outer(ts, lam_flat)) * amp
-    batch = batch.reshape((ts.size,) + (basis.n_modes,) * basis.dim)
-    grids = _synthesize(basis, batch)
+    amp = phi.coeffs * basis.lam ** (beta / 2.0)
+    grids = _synthesize(basis, np.exp(1j * np.multiply.outer(ts, basis.lam)) * amp)
 
     # fold the weight <x>^(-1/2) squared into the quadrature weights
     r2 = reduce(np.add.outer, [basis.nodes**2] * basis.dim)

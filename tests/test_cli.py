@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gpe.cli
 import gpe.dynamics as dynamics
 from gpe.cli import emit_records, main, run, run_config
 
@@ -91,6 +92,7 @@ def test_negative_dt_names_field(tmp_path, capsys):
         ("picard_max_iter_zero", "picard_max_iter"),
         ("potential_max_order_negative", "max_order"),
         ("smoothing_sigma_cubic", "sigma"),
+        ("smoothing_one_record", "record_times"),
         ("sobolev_negative", "sobolev_s"),
         ("record_out_of_range", "record_times"),
     ],
@@ -102,6 +104,15 @@ def test_bad_config_names_key(tmp_path, capsys, fixture, key):
     assert err.startswith("config error: ")
     assert key in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_smoothing_checks_before_simulate(tmp_path, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr(gpe.cli, "simulate", no_run)
+    code = run(str(DATA / "bad_configs" / "smoothing_sigma_cubic.json"), output_override=str(tmp_path))
+    assert code == 2
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -151,6 +162,14 @@ def test_seed_override_changes_draws(tmp_path):
 def test_divergence_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(dynamics, "H1_DIVERGENCE_LIMIT", 0.5)
     assert run_config(minimal_simulate(tmp_path)) == 3
+
+
+def test_picard_divergence_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dynamics, "H1_DIVERGENCE_LIMIT", 0.5)
+    cfg = minimal_simulate(tmp_path)
+    cfg["sim"]["integrator"] = "picard"
+    assert run_config(cfg) == 3
+    assert capsys.readouterr().err.startswith("numerical divergence: ")
 
 
 def test_picard_non_contraction_exit_code(tmp_path, capsys):

@@ -123,7 +123,17 @@ def test_potential_3d(basis3d):
     assert pot.wkinf_norms[1] >= pot.grad_sup * 0.5
 
 
-def test_step_integrals_match_per_step_integral():
+def _breaks(u):
+    """Segment edges of a piecewise-constant u, sample times of a sampled u."""
+    if u.kind == "sinusoid_perturbed":
+        return _breaks(u.base)
+    if u.kind == "zero":
+        return np.array([])
+    n_pieces = u.values.size if u.kind == "piecewise_constant" else u.values.size - 1
+    return np.linspace(0.0, u.duration, n_pieces + 1)
+
+
+def test_array_integral_matches_quad():
     rng = np.random.default_rng(5)
     pw = ControlSignal.piecewise_constant(rng.standard_normal(13), 1.0)
     controls = [
@@ -131,15 +141,18 @@ def test_step_integrals_match_per_step_integral():
         pw,
         ControlSignal.sampled(rng.standard_normal(17), 1.0),
         ControlSignal.sinusoid_perturbed(pw, 0.8, 3),
-        # shorter than n_steps * dt: steps past the end integrate to 0
+        # shorter than the 150 steps: steps past its end integrate to 0
         ControlSignal.piecewise_constant(rng.standard_normal(5), 0.6),
     ]
-    dt, n_steps = 1.0 / 150, 150
+    edges = np.arange(151) / 150
     for u in controls:
-        got = u.step_integrals(dt, n_steps)
-        expect = np.array([u.integral(j * dt, (j + 1) * dt) for j in range(n_steps)])
-        assert got.shape == (n_steps,)
-        assert np.max(np.abs(got - expect)) <= 1e-14, u.kind
-    short = controls[-1].step_integrals(dt, n_steps)
-    assert np.all(short[91:] == 0.0)
-    assert np.any(short[:90] != 0.0)
+        got = u.integral(edges[:-1], edges[1:])
+        assert got.shape == (150,)
+        for j in range(150):
+            a, b = min(edges[j], u.duration), min(edges[j + 1], u.duration)
+            pts = [p for p in _breaks(u) if a < p < b]
+            expect = quad(u, a, b, points=pts or None, epsabs=1e-15, epsrel=1e-14)[0] if b > a else 0.0
+            assert abs(got[j] - expect) <= 1e-12, (u.kind, j)
+    short = controls[-1].integral(edges[:-1], edges[1:])
+    assert np.all(short[90:] == 0.0)
+    assert np.all(short[:90] != 0.0)

@@ -13,11 +13,12 @@ from gpe.hermite import (
     build_basis,
     gauss_hermite,
     hermite_values,
-    quadrature_l2,
     spectral_field,
     to_grid,
     to_spectral,
 )
+
+from gpe.operators import lp_norm
 
 from conftest import random_spectral
 
@@ -163,7 +164,7 @@ def test_parseval(basis64):
     for _ in range(10):
         f = random_spectral(basis64, rng)
         l2_spec = np.sqrt(np.sum(np.abs(f.coeffs) ** 2))
-        l2_grid = quadrature_l2(basis64, to_grid(basis64, f))
+        l2_grid = lp_norm(basis64, to_grid(basis64, f), 2.0)
         assert abs(l2_spec - l2_grid) <= 1e-11 * l2_spec
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gpe.hermite import basis_state, to_grid
+from gpe.hermite import basis_state, build_basis, to_grid
 from gpe.operators import (
     AdmissiblePair,
     apply_fractional_H,
@@ -25,6 +25,8 @@ def test_eigenvalues_1d_and_3d():
     lam3 = eigenvalues(3, 4)
     assert lam3[0, 0, 0] == 3.0
     assert lam3[1, 2, 3] == 3.0 + 2.0 * 6
+    for d in (1, 2, 3):
+        assert np.array_equal(build_basis(d, 6).lam, eigenvalues(d, 6))
 
 
 def test_fractional_multiplier(basis64):
