@@ -335,7 +335,6 @@ def _run_weak_limit(config: dict, seed: int) -> dict:
     amp = _optional(diag, "amplitude", "diagnostic", _number, 1.0)
     s = _optional(diag, "s", "diagnostic", _number, 0.0)
     basis, cfg = build_simulation(config["sim"], seed_shift=seed)
-    cfg = replace(cfg, record_times=(cfg.t_final,))
     errs = weak_limit_experiment(basis, cfg, n_list, amp, s)
     return {"weak_limit": [{"n": n, "err": e} for n, e in errs]}
 

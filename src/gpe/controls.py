@@ -45,6 +45,7 @@ class ControlSignal:
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ConfigError("piecewise_constant values must be a nonempty 1d array")
+        _check_finite(v, "piecewise_constant values")
         return ControlSignal("piecewise_constant", float(duration), v)
 
     @staticmethod
@@ -52,6 +53,7 @@ class ControlSignal:
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or v.size < 2:
             raise ConfigError("sampled values must be a 1d array of at least two samples")
+        _check_finite(v, "sampled values")
         return ControlSignal("sampled", float(duration), v)
 
     @staticmethod
@@ -60,6 +62,7 @@ class ControlSignal:
     ) -> "ControlSignal":
         if n_freq < 1:
             raise ConfigError(f"n_freq must be a positive integer, got {n_freq}")
+        _check_finite(amplitude, "sinusoid amplitude")
         return ControlSignal(
             "sinusoid_perturbed",
             base.duration,
@@ -172,6 +175,11 @@ class ControlSignal:
         return ts, self(ts)
 
 
+def _check_finite(v, what: str) -> None:
+    if not np.all(np.isfinite(v)):
+        raise ConfigError(f"{what}: NaN or Inf")
+
+
 def _abs_linear_integral(t0: float, t1: float, v0: float, v1: float) -> float:
     """Exact integral of |linear interpolant| over [t0, t1]."""
     if v0 * v1 >= 0.0:
@@ -261,11 +269,12 @@ def make_potential(
         if values is None:
             raise ConfigError("sampled potential requires values")
         vals = np.asarray(values)
-        if np.iscomplexobj(vals) and np.max(np.abs(vals.imag)) > 0.0:
+        if np.iscomplexobj(vals) and np.any(vals.imag != 0.0):
             raise ConfigError("potential values must be real")
         vals = vals.real.astype(float)
         if vals.shape != (basis.n_nodes,) * d:
             raise ConfigError(f"sampled potential values have shape {vals.shape}, not the grid's")
+        _check_finite(vals, "sampled potential values")
         est_coords = [basis.nodes] * d
         est_vals = vals
     else:

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .controls import ControlSignal
-from .dynamics import SimConfig, Trajectory, energy, simulate
+from .dynamics import SimConfig, Trajectory, _snap_records, energy, simulate
 from .hermite import ConfigError, HermiteBasis, SpectralField
 from .operators import _check_beta, check_admissible, free_propagate, sobolev_norm, wsp_norm
 
@@ -92,9 +92,9 @@ def _check_holder(n_samples: int, alpha: float) -> None:
 def check_smoothing_run(cfg: SimConfig, k: int, beta: float, alpha: float) -> None:
     """Refuse, before simulate steps, a smoothing run that smoothing_residual_series
     or holder_quotient would refuse afterwards: a sigma other than 0, a bad
-    k, beta or alpha, or fewer than two record times."""
+    k, beta or alpha, or fewer than two distinct record steps."""
     _check_residual(cfg.sigma, k, beta)
-    _check_holder(len(cfg.record_times or (0.0, cfg.t_final)), alpha)
+    _check_holder(len(_snap_records(cfg)[2]), alpha)
 
 
 def smoothing_residual_series(
@@ -177,12 +177,14 @@ def weak_limit_experiment(
 
     For each n, runs the base control plus A sin(2 pi n t / T), a family
     converging weakly to the base control as n grows, and returns
-    (n, ||psi_n(T) - psi(T)||_{H^s}).
+    (n, ||psi_n(T) - psi(T)||_{H^s}).  The runs record at T alone, so the
+    result does not depend on cfg.record_times.
     """
     if not n_list or sorted(n_list) != list(n_list) or n_list[0] < 1:
         raise ConfigError(f"n_list must be a nonempty increasing list of n >= 1, got {n_list}")
     if amplitude < 0:
         raise ConfigError("amplitude must be nonnegative")
+    cfg = replace(cfg, record_times=(cfg.t_final,))
     base_final = simulate(basis, cfg).final_state
     out = []
     for n in n_list:

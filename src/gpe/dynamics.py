@@ -197,6 +197,22 @@ def _phase_kernel(v: np.ndarray, sigma: int, k_values: np.ndarray, u_int: float,
     return v * np.exp(-1j * phase)
 
 
+# Phase factors exp(-i K U_j) computed in one vectorized pass: at most this
+# many complex numbers (64 KiB), so memory stays bounded on long runs.
+_PHASE_BLOCK_SIZE = 1 << 12
+# Step integrals this close, relative to the first of a run, give one step map.
+_SAME_INTEGRAL_RTOL = 1e-12
+
+
+def _unit_phases(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) as cos + i sin written in place: real cos and sin take
+    half the time of a complex exp per element."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 class _StrangStepper:
     """Precomputed tables for repeated steps of fixed size."""
 
@@ -214,6 +230,74 @@ class _StrangStepper:
         v = _phase_kernel(v, self.cfg.sigma, self.k_values, u_int, self.dt)
         c = _analyze(self.basis, v)
         return self.half_phase * c
+
+    def march(self, coeffs: np.ndarray, u_ints: np.ndarray):
+        """Yield (j, state after step j) for j = 1 .. len(u_ints); the control
+        integrates to u_ints[j - 1] over step j.  The kernels are described
+        in simulate()."""
+        c = coeffs
+        if self.cfg.sigma:
+            for j, u in enumerate(u_ints, 1):
+                c = self.step(c, u)
+                yield j, c
+            return
+        half, basis = self.half_phase, self.basis
+        block = max(1, _PHASE_BLOCK_SIZE // self.k_values.size)
+        for j0, j1, constant in self._spans(u_ints):
+            if constant:
+                mat = self._step_matrix(u_ints[j0])
+                for j in range(j0 + 1, j1 + 1):
+                    c = mat @ c
+                    yield j, c
+                continue
+            for b0 in range(j0, j1, block):
+                theta = np.multiply.outer(-u_ints[b0 : min(b0 + block, j1)], self.k_values)
+                for j, phase in enumerate(_unit_phases(theta), b0 + 1):
+                    c = half * _analyze(basis, phase * _synthesize(basis, half * c))
+                    yield j, c
+
+    def _spans(self, u_ints: np.ndarray) -> list:
+        """Cover steps 0 .. len(u_ints) with (start, stop, constant) spans.
+
+        A constant span is a 1D run of at least n_modes // 2 steps whose
+        integrals agree with the run's first to _SAME_INTEGRAL_RTOL; about
+        that many matvecs pay for building the step matrix.  Steps between
+        such runs form the other spans.
+        """
+        n = len(u_ints)
+        if self.basis.dim != 1:
+            return [(0, n, False)]
+        jumps = np.abs(np.diff(u_ints)) > _SAME_INTEGRAL_RTOL * np.abs(u_ints[:-1])
+        cuts = np.flatnonzero(jumps) + 1
+        spans, j = [], 0
+        for a, b in zip([0, *cuts], [*cuts, n]):
+            run = u_ints[a:b]
+            if b - a < self.basis.n_modes // 2 or np.any(
+                np.abs(run - run[0]) > _SAME_INTEGRAL_RTOL * abs(run[0])
+            ):
+                continue
+            if j < a:
+                spans.append((j, a, False))
+            spans.append((a, b, True))
+            j = b
+        if j < n:
+            spans.append((j, n, False))
+        return spans
+
+    def _step_matrix(self, u_int: float) -> np.ndarray:
+        """The 1D linear step for integral u_int as an (N, N) matrix, half-phases folded in.
+
+        analysis_table diag(exp(-i K u_int)) herm_table.T as two real GEMMs
+        written into the real and imaginary parts of one complex array.
+        """
+        theta = -self.k_values * u_int
+        ht = self.basis.herm_table.T
+        mat = np.empty((self.basis.n_modes,) * 2, dtype=complex)
+        np.matmul(self.basis.analysis_table, np.cos(theta)[:, None] * ht, out=mat.real)
+        np.matmul(self.basis.analysis_table, np.sin(theta)[:, None] * ht, out=mat.imag)
+        mat *= self.half_phase[:, None]
+        mat *= self.half_phase
+        return mat
 
 
 def energy(basis: HermiteBasis, state: SpectralField) -> float:
@@ -250,19 +334,22 @@ def _record(
 
 
 def _check_h1(basis: HermiteBasis, coeffs: np.ndarray, t: float) -> None:
-    """The divergence guard: raise SimulationDiverged once the H1 norm passes the limit."""
-    h1 = float(np.sqrt(np.sum(basis.lam * np.abs(coeffs) ** 2)))
-    if not np.isfinite(h1) or h1 > H1_DIVERGENCE_LIMIT:
-        raise SimulationDiverged(t, h1)
+    """The divergence guard: raise SimulationDiverged once the H1 norm passes the limit or is NaN."""
+    h1sq = np.vdot(coeffs, basis.lam * coeffs).real
+    if not h1sq <= H1_DIVERGENCE_LIMIT**2:
+        raise SimulationDiverged(t, float(np.sqrt(h1sq)))
 
 
-def _snap_records(cfg: SimConfig, n_steps: int, dt: float) -> dict:
+def _snap_records(cfg: SimConfig) -> tuple[int, float, dict]:
+    """(n_steps, dt, record steps): the step grid of cfg and its record times snapped onto it."""
+    n_steps = max(1, int(round(cfg.t_final / cfg.dt)))
+    dt = cfg.t_final / n_steps
     times = cfg.record_times if cfg.record_times else (0.0, cfg.t_final)
     idx = {}
     for t in times:
         j = int(round(t / dt))
         idx[min(max(j, 0), n_steps)] = True
-    return idx
+    return n_steps, dt, idx
 
 
 def simulate(basis: HermiteBasis, cfg: SimConfig) -> Trajectory:
@@ -272,12 +359,19 @@ def simulate(basis: HermiteBasis, cfg: SimConfig) -> Trajectory:
     given config (the only randomness is the seeded initial state).
     Raises SimulationDiverged when the H1 norm passes the guard, and
     ConfigError when the basis, potential or control does not fit cfg.
+
+    The Strang kernel follows from cfg and the control: sigma != 0 runs
+    the full nonlinear step every time.  sigma = 0 computes the phase
+    factors exp(-i K U_j) of a block of steps in one vectorized pass; in
+    1D, a run of at least n_modes // 2 steps with equal control integrals
+    (a piece of a piecewise-constant or zero control) instead builds its
+    N x N step matrix once and advances by one matvec per step.  Every
+    kernel gives the per-step result to roundoff, and the divergence guard
+    and the records run after every step.
     """
     cfg.validate(basis)
     psi0 = make_initial_state(basis, cfg.initial_state)
-    n_steps = max(1, int(round(cfg.t_final / cfg.dt)))
-    dt = cfg.t_final / n_steps
-    record_at = _snap_records(cfg, n_steps, dt)
+    n_steps, dt, record_at = _snap_records(cfg)
     records = []
 
     if cfg.integrator == "picard":
@@ -286,14 +380,12 @@ def simulate(basis: HermiteBasis, cfg: SimConfig) -> Trajectory:
     stepper = _StrangStepper(basis, cfg, dt)
     edges = np.arange(n_steps + 1) * dt
     u_ints = cfg.control.integral(edges[:-1], edges[1:])
-    c = psi0.coeffs.copy()
     if 0 in record_at:
-        records.append(_record(basis, cfg, 0.0, c, psi0))
-    for j in range(n_steps):
-        c = stepper.step(c, u_ints[j])
-        _check_h1(basis, c, (j + 1) * dt)
-        if (j + 1) in record_at:
-            records.append(_record(basis, cfg, (j + 1) * dt, c, psi0))
+        records.append(_record(basis, cfg, 0.0, psi0.coeffs, psi0))
+    for j, c in stepper.march(psi0.coeffs, u_ints):
+        _check_h1(basis, c, j * dt)
+        if j in record_at:
+            records.append(_record(basis, cfg, j * dt, c, psi0))
     return Trajectory(cfg, dt, psi0, records)
 
 

@@ -87,12 +87,14 @@ def test_negative_dt_names_field(tmp_path, capsys):
         ("coherent_displacement_string", "displacement"),
         ("residual_k_negative", "residual_k"),
         ("control_values_string", "values"),
+        ("control_values_nan", "values"),
         ("weak_limit_n_list_empty", "n_list"),
         ("random_decay_seed_negative", "seed"),
         ("picard_max_iter_zero", "picard_max_iter"),
         ("potential_max_order_negative", "max_order"),
         ("smoothing_sigma_cubic", "sigma"),
         ("smoothing_one_record", "record_times"),
+        ("smoothing_duplicate_records", "record_times"),
         ("sobolev_negative", "sobolev_s"),
         ("record_out_of_range", "record_times"),
     ],
@@ -111,8 +113,9 @@ def test_smoothing_checks_before_simulate(tmp_path, monkeypatch):
         raise AssertionError("simulate ran")
 
     monkeypatch.setattr(gpe.cli, "simulate", no_run)
-    code = run(str(DATA / "bad_configs" / "smoothing_sigma_cubic.json"), output_override=str(tmp_path))
-    assert code == 2
+    for fixture in ("smoothing_sigma_cubic", "smoothing_duplicate_records"):
+        code = run(str(DATA / "bad_configs" / f"{fixture}.json"), output_override=str(tmp_path))
+        assert code == 2
 
 
 def test_unknown_key_rejected(tmp_path, capsys):

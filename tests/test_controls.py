@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from gpe.controls import ControlSignal, make_potential
+from gpe.hermite import ConfigError
 
 
 def test_zero_control():
@@ -68,6 +69,13 @@ def test_control_validation():
     base = ControlSignal.zero(1.0)
     with pytest.raises(ValueError):
         ControlSignal.sinusoid_perturbed(base, 1.0, 0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="NaN or Inf"):
+            ControlSignal.piecewise_constant([0.5, bad], 1.0)
+        with pytest.raises(ConfigError, match="NaN or Inf"):
+            ControlSignal.sampled([0.5, bad, 0.1], 1.0)
+        with pytest.raises(ConfigError, match="NaN or Inf"):
+            ControlSignal.sinusoid_perturbed(ControlSignal.zero(1.0), bad, 2)
     u = ControlSignal.zero(1.0)
     with pytest.raises(ValueError):
         u.integral(0.8, 0.2)
@@ -112,6 +120,15 @@ def test_sampled_potential(basis64):
     assert pot.grad_sup == pytest.approx(1.0 / 3.0, rel=5e-2)
     with pytest.raises(ValueError):
         make_potential(basis64, "sampled", values=vals * 1j)
+    for bad in (np.nan, np.inf):
+        spoiled = vals.copy()
+        spoiled[3] = bad
+        with pytest.raises(ConfigError, match="NaN or Inf"):
+            make_potential(basis64, "sampled", values=spoiled)
+    imag_nan = vals.astype(complex)
+    imag_nan[3] = complex(vals[3], np.nan)
+    with pytest.raises(ConfigError, match="real"):
+        make_potential(basis64, "sampled", values=imag_nan)
     with pytest.raises(ValueError):
         make_potential(basis64, "sampled")
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,14 @@ def test_weak_limit_decay(basis64):
     cfg = bump_config(basis64, sigma=0, control=u, dt=2e-3)
     errs = dict(weak_limit_experiment(basis64, cfg, [1, 16], 1.0))
     assert errs[16] <= errs[1] / 2.0
+
+
+def test_weak_limit_measures_at_final_time(basis64):
+    u = ControlSignal.piecewise_constant([0.3], 0.5)
+    cfg = bump_config(basis64, sigma=0, control=u, t_final=0.5, dt=2e-3, record_times=(0.5,))
+    at_t = weak_limit_experiment(basis64, cfg, [1, 8], 1.0)
+    early = weak_limit_experiment(basis64, replace(cfg, record_times=(0.0, 0.1)), [1, 8], 1.0)
+    assert early == at_t
 
 
 def test_tail_profile_monotone_and_total(basis64):

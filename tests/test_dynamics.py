@@ -301,3 +301,90 @@ def test_simulate_refuses_inputs_that_do_not_fit(basis64, mismatch):
         simulate(basis, cfg)
     with pytest.raises(ConfigError, match=mismatch):
         picard_solve(basis, cfg, cfg.t_final)
+
+
+KERNEL_T = 0.2
+KERNEL_CONTROLS = {
+    "zero": ControlSignal.zero(KERNEL_T),
+    "piecewise_constant": ControlSignal.piecewise_constant([0.9, -0.4, 0.3, 0.7], KERNEL_T),
+    "sampled": ControlSignal.sampled([0.2, -0.5, 0.8, 0.1, 0.4], KERNEL_T),
+    "sinusoid_perturbed": ControlSignal.sinusoid_perturbed(
+        ControlSignal.piecewise_constant([0.5], KERNEL_T), 0.6, 3
+    ),
+    # 16 pieces of 6.25 steps: equal neighbours merge into runs of 50 and
+    # 37.5 steps (at least N / 2 = 32 at N = 64) around two short pieces
+    "long_and_short_pieces": ControlSignal.piecewise_constant(
+        [0.5] * 8 + [0.1, -0.3] + [0.2] * 6, KERNEL_T
+    ),
+}
+
+
+def per_step_records(basis, cfg):
+    """States at the record steps of cfg, marched by _StrangStepper.step alone."""
+    n_steps, dt, record_at = dynamics._snap_records(cfg)
+    stepper = dynamics._StrangStepper(basis, cfg, dt)
+    edges = np.arange(n_steps + 1) * dt
+    c = make_initial_state(basis, cfg.initial_state).coeffs
+    states = [c] if 0 in record_at else []
+    for j, u_int in enumerate(cfg.control.integral(edges[:-1], edges[1:]), 1):
+        c = stepper.step(c, u_int)
+        if j in record_at:
+            states.append(c)
+    return states
+
+
+@pytest.mark.parametrize("dim, n_modes", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("control", sorted(KERNEL_CONTROLS))
+def test_linear_kernels_match_per_step(dim, n_modes, control, monkeypatch):
+    basis = build_basis(dim, n_modes)
+    # seven steps per phase block, so block edges fall inside the run
+    monkeypatch.setattr(dynamics, "_PHASE_BLOCK_SIZE", 7 * basis.n_nodes**dim)
+    cfg = bump_config(basis, sigma=0, control=KERNEL_CONTROLS[control], t_final=KERNEL_T,
+                      dt=2e-3, record_times=tuple(np.linspace(0.0, KERNEL_T, 7)))
+    traj = simulate(basis, cfg)
+    want = per_step_records(basis, cfg)
+    assert len(traj.records) == len(want) == 7
+    for rec, ref in zip(traj.records, want):
+        assert np.linalg.norm(rec.state.coeffs - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def count_synthesis(monkeypatch):
+    calls = []
+
+    def counted(basis, coeffs):
+        calls.append(1)
+        return synthesize(basis, coeffs)
+
+    synthesize = dynamics._synthesize
+    monkeypatch.setattr(dynamics, "_synthesize", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "control, per_step", [("zero", 0), ("long_and_short_pieces", 13), ("piecewise_constant", 100)]
+)
+def test_step_matrix_takes_long_runs_only(basis64, monkeypatch, control, per_step):
+    # 100 steps; records synthesize once each, block-path steps once each,
+    # and the long runs advance by matvecs without synthesis: all 100
+    # zero-control steps, and steps 0-49 and 63-99 of the pieces (steps 56
+    # and 62 straddle a piece edge; 50-55 and 57-61 are short runs)
+    calls = count_synthesis(monkeypatch)
+    cfg = bump_config(basis64, sigma=0, control=KERNEL_CONTROLS[control], t_final=KERNEL_T,
+                      dt=2e-3, record_times=(0.0, KERNEL_T))
+    traj = simulate(basis64, cfg)
+    assert len(calls) == per_step + len(traj.records)
+
+
+@pytest.mark.parametrize("control", ["zero", "sinusoid_perturbed"])
+def test_nan_state_trips_guard_on_linear_kernels(basis64, monkeypatch, control):
+    def nan_state(basis, spec):
+        c = np.zeros(basis.n_modes, dtype=complex)
+        c[3] = np.nan
+        return dynamics.SpectralField(basis.dim, basis.n_modes, c)
+
+    monkeypatch.setattr(dynamics, "make_initial_state", nan_state)
+    cfg = bump_config(basis64, sigma=0, control=KERNEL_CONTROLS[control], t_final=KERNEL_T,
+                      dt=2e-3, record_times=(KERNEL_T,))
+    with pytest.raises(SimulationDiverged) as err:
+        simulate(basis64, cfg)
+    assert err.value.t == pytest.approx(2e-3)
