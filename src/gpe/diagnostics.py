@@ -92,7 +92,9 @@ def _check_holder(n_samples: int, alpha: float) -> None:
 def check_smoothing_run(cfg: SimConfig, k: int, beta: float, alpha: float) -> None:
     """Refuse, before simulate steps, a smoothing run that smoothing_residual_series
     or holder_quotient would refuse afterwards: a sigma other than 0, a bad
-    k, beta or alpha, or fewer than two distinct record steps."""
+    k, beta or alpha, or fewer than two distinct record steps.  cfg is
+    validated first, since the record steps are snapped onto its step grid."""
+    cfg.validate()
     _check_residual(cfg.sigma, k, beta)
     _check_holder(len(_snap_records(cfg)[2]), alpha)
 

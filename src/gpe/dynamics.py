@@ -197,20 +197,8 @@ def _phase_kernel(v: np.ndarray, sigma: int, k_values: np.ndarray, u_int: float,
     return v * np.exp(-1j * phase)
 
 
-# Phase factors exp(-i K U_j) computed in one vectorized pass: at most this
-# many complex numbers (64 KiB), so memory stays bounded on long runs.
-_PHASE_BLOCK_SIZE = 1 << 12
 # Step integrals this close, relative to the first of a run, give one step map.
 _SAME_INTEGRAL_RTOL = 1e-12
-
-
-def _unit_phases(theta: np.ndarray) -> np.ndarray:
-    """exp(i theta) as cos + i sin written in place: real cos and sin take
-    half the time of a complex exp per element."""
-    out = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
-    return out
 
 
 class _StrangStepper:
@@ -233,56 +221,34 @@ class _StrangStepper:
 
     def march(self, coeffs: np.ndarray, u_ints: np.ndarray):
         """Yield (j, state after step j) for j = 1 .. len(u_ints); the control
-        integrates to u_ints[j - 1] over step j.  The kernels are described
-        in simulate()."""
-        c = coeffs
-        if self.cfg.sigma:
-            for j, u in enumerate(u_ints, 1):
-                c = self.step(c, u)
-                yield j, c
-            return
-        half, basis = self.half_phase, self.basis
-        block = max(1, _PHASE_BLOCK_SIZE // self.k_values.size)
-        for j0, j1, constant in self._spans(u_ints):
-            if constant:
-                mat = self._step_matrix(u_ints[j0])
-                for j in range(j0 + 1, j1 + 1):
-                    c = mat @ c
-                    yield j, c
-                continue
-            for b0 in range(j0, j1, block):
-                theta = np.multiply.outer(-u_ints[b0 : min(b0 + block, j1)], self.k_values)
-                for j, phase in enumerate(_unit_phases(theta), b0 + 1):
-                    c = half * _analyze(basis, phase * _synthesize(basis, half * c))
-                    yield j, c
+        integrates to u_ints[j - 1] over step j.  Steps in a run of
+        _matrix_runs take one matvec with that run's step matrix, every
+        other step is step()."""
+        runs = dict(self._matrix_runs(u_ints))
+        c, stop, mat = coeffs, 0, None
+        for j, u in enumerate(u_ints):
+            if j in runs:
+                stop, mat = runs[j], self._step_matrix(u)
+            c = mat @ c if j < stop else self.step(c, u)
+            yield j + 1, c
 
-    def _spans(self, u_ints: np.ndarray) -> list:
-        """Cover steps 0 .. len(u_ints) with (start, stop, constant) spans.
+    def _matrix_runs(self, u_ints: np.ndarray) -> list:
+        """(start, stop) of the step runs that take a step matrix.
 
-        A constant span is a 1D run of at least n_modes // 2 steps whose
-        integrals agree with the run's first to _SAME_INTEGRAL_RTOL; about
-        that many matvecs pay for building the step matrix.  Steps between
-        such runs form the other spans.
+        Only a linear (sigma = 0) 1D run has them: at least n_modes // 2
+        consecutive steps whose integrals agree with the run's first to
+        _SAME_INTEGRAL_RTOL, so that the matvecs pay for building the matrix.
         """
-        n = len(u_ints)
-        if self.basis.dim != 1:
-            return [(0, n, False)]
+        if self.cfg.sigma or self.basis.dim != 1:
+            return []
         jumps = np.abs(np.diff(u_ints)) > _SAME_INTEGRAL_RTOL * np.abs(u_ints[:-1])
-        cuts = np.flatnonzero(jumps) + 1
-        spans, j = [], 0
-        for a, b in zip([0, *cuts], [*cuts, n]):
-            run = u_ints[a:b]
-            if b - a < self.basis.n_modes // 2 or np.any(
-                np.abs(run - run[0]) > _SAME_INTEGRAL_RTOL * abs(run[0])
-            ):
-                continue
-            if j < a:
-                spans.append((j, a, False))
-            spans.append((a, b, True))
-            j = b
-        if j < n:
-            spans.append((j, n, False))
-        return spans
+        cuts = [0, *(np.flatnonzero(jumps) + 1), len(u_ints)]
+        return [
+            (a, b)
+            for a, b in zip(cuts[:-1], cuts[1:])
+            if b - a >= self.basis.n_modes // 2
+            and np.all(np.abs(u_ints[a:b] - u_ints[a]) <= _SAME_INTEGRAL_RTOL * abs(u_ints[a]))
+        ]
 
     def _step_matrix(self, u_int: float) -> np.ndarray:
         """The 1D linear step for integral u_int as an (N, N) matrix, half-phases folded in.
@@ -360,14 +326,12 @@ def simulate(basis: HermiteBasis, cfg: SimConfig) -> Trajectory:
     Raises SimulationDiverged when the H1 norm passes the guard, and
     ConfigError when the basis, potential or control does not fit cfg.
 
-    The Strang kernel follows from cfg and the control: sigma != 0 runs
-    the full nonlinear step every time.  sigma = 0 computes the phase
-    factors exp(-i K U_j) of a block of steps in one vectorized pass; in
-    1D, a run of at least n_modes // 2 steps with equal control integrals
-    (a piece of a piecewise-constant or zero control) instead builds its
-    N x N step matrix once and advances by one matvec per step.  Every
-    kernel gives the per-step result to roundoff, and the divergence guard
-    and the records run after every step.
+    A Strang step is _StrangStepper.step, except in a linear (sigma = 0)
+    1D run: there a run of at least n_modes // 2 steps with equal control
+    integrals (a piece of a piecewise-constant or zero control) builds its
+    N x N step matrix once and advances by one matvec per step, which
+    gives the per-step result to roundoff.  The divergence guard and the
+    records run after every step either way.
     """
     cfg.validate(basis)
     psi0 = make_initial_state(basis, cfg.initial_state)

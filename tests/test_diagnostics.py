@@ -8,6 +8,7 @@ from gpe.dynamics import InitialState, SimConfig, Trajectory, TrajectoryRecord, 
 from gpe.diagnostics import (
     attainable_ensemble,
     calibrate_gronwall_constant,
+    check_smoothing_run,
     draw_control,
     energy_bound_check,
     gronwall_check,
@@ -18,7 +19,7 @@ from gpe.diagnostics import (
     strichartz_norm,
     weak_limit_experiment,
 )
-from gpe.hermite import basis_state, build_basis, spectral_field
+from gpe.hermite import ConfigError, basis_state, build_basis, spectral_field
 from gpe.operators import sobolev_norm
 
 from test_dynamics import bump_config
@@ -44,6 +45,14 @@ def test_residual_requires_bilinear_and_valid_beta(basis64):
         smoothing_residual_series(traj0, basis64, 0, 0.5)
     with pytest.raises(ValueError):
         smoothing_residual_series(traj0, basis64, 1, 0.4)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3])
+def test_smoothing_precheck_validates_config(basis64, dt):
+    # the record steps are snapped onto the step grid, so dt is checked first
+    cfg = bump_config(basis64, sigma=0, t_final=0.05, dt=dt)
+    with pytest.raises(ConfigError, match="dt must be positive"):
+        check_smoothing_run(cfg, 0, 0.4, 0.5)
 
 
 def test_holder_quotient_constant_series(basis64):

@@ -335,10 +335,9 @@ def per_step_records(basis, cfg):
 
 @pytest.mark.parametrize("dim, n_modes", [(1, 64), (2, 16)])
 @pytest.mark.parametrize("control", sorted(KERNEL_CONTROLS))
-def test_linear_kernels_match_per_step(dim, n_modes, control, monkeypatch):
+def test_linear_kernels_match_per_step(dim, n_modes, control):
+    # in 2D every step is step(); the 1D runs mix step matrices and step()
     basis = build_basis(dim, n_modes)
-    # seven steps per phase block, so block edges fall inside the run
-    monkeypatch.setattr(dynamics, "_PHASE_BLOCK_SIZE", 7 * basis.n_nodes**dim)
     cfg = bump_config(basis, sigma=0, control=KERNEL_CONTROLS[control], t_final=KERNEL_T,
                       dt=2e-3, record_times=tuple(np.linspace(0.0, KERNEL_T, 7)))
     traj = simulate(basis, cfg)
@@ -361,17 +360,26 @@ def count_synthesis(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "control, per_step", [("zero", 0), ("long_and_short_pieces", 13), ("piecewise_constant", 100)]
+    "dim, sigma, control, per_step",
+    [
+        (1, 0, "zero", 0),
+        (1, 0, "long_and_short_pieces", 13),
+        (1, 0, "piecewise_constant", 100),
+        (1, 1, "zero", 100),
+        (2, 0, "zero", 100),
+    ],
 )
-def test_step_matrix_takes_long_runs_only(basis64, monkeypatch, control, per_step):
-    # 100 steps; records synthesize once each, block-path steps once each,
-    # and the long runs advance by matvecs without synthesis: all 100
+def test_step_matrix_takes_long_runs_only(monkeypatch, dim, sigma, control, per_step):
+    # 100 steps; records synthesize once each, step() once per step, and
+    # the long linear 1D runs advance by matvecs without synthesis: all 100
     # zero-control steps, and steps 0-49 and 63-99 of the pieces (steps 56
-    # and 62 straddle a piece edge; 50-55 and 57-61 are short runs)
+    # and 62 straddle a piece edge; 50-55 and 57-61 are short runs).  Cubic
+    # and 2D runs take step() every time.
+    basis = build_basis(dim, 64 if dim == 1 else 16)
     calls = count_synthesis(monkeypatch)
-    cfg = bump_config(basis64, sigma=0, control=KERNEL_CONTROLS[control], t_final=KERNEL_T,
+    cfg = bump_config(basis, sigma=sigma, control=KERNEL_CONTROLS[control], t_final=KERNEL_T,
                       dt=2e-3, record_times=(0.0, KERNEL_T))
-    traj = simulate(basis64, cfg)
+    traj = simulate(basis, cfg)
     assert len(calls) == per_step + len(traj.records)
 
 
