@@ -153,10 +153,8 @@ def _build_initial(spec: dict, seed_shift: int, path: str) -> InitialState:
 
 
 def _build_potential(spec: dict, basis, path: str):
-    _check_keys(spec, {"kind", "amplitude", "width", "center", "values", "max_order"}, {"kind"}, path)
+    _check_keys(spec, {"kind", "amplitude", "width", "center", "values"}, {"kind"}, path)
     kwargs = {key: _number(spec, key, path) for key in ("amplitude", "width", "center") if key in spec}
-    if "max_order" in spec:
-        kwargs["max_order"] = _integer(spec, "max_order", path)
     if "values" in spec:
         kwargs["values"] = _number_array(spec, "values", path)
     with _at(path):
@@ -289,7 +287,6 @@ def _run_kato_scan(config: dict, seed: int) -> dict:
     n_modes = _optional(diag, "n_modes", "diagnostic", _integer, k_max + 1)
     _require(n_modes > k_max, "diagnostic.n_modes: must exceed k_max")
     window = _optional(diag, "window", "diagnostic", _number_list, [-2.0 * np.pi, 2.0 * np.pi])
-    _require(len(window) == 2, "diagnostic.window: expected [t0, t1]")
     n_time = _optional(diag, "n_time", "diagnostic", _integer, 256)
     qf = _optional(diag, "quad_factor", "diagnostic", _integer, 2)
     rows = []
@@ -297,7 +294,7 @@ def _run_kato_scan(config: dict, seed: int) -> dict:
         basis = build_basis(1, n_modes, qf)
         for k in range(k_max + 1):
             phi = basis_state(basis, k)
-            val = kato_functional(basis, phi, beta, (window[0], window[1]), n_time)
+            val = kato_functional(basis, phi, beta, window, n_time)
             rows.append({
                 "k": k,
                 "lambda": float(basis.lam[k]),

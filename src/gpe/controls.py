@@ -8,8 +8,8 @@ signed integral and numerically refined absolute integrals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -18,6 +18,8 @@ from .hermite import ConfigError, HermiteBasis
 
 CONTROL_KINDS = ("zero", "piecewise_constant", "sampled", "sinusoid_perturbed")
 POTENTIAL_KINDS = ("gaussian_bump", "sech", "polynomial_decay", "constant", "sampled")
+# the orders m of PotentialSpec.wkinf_norms; _derivative_sups walks partials up to order 2
+NORM_ORDERS = (0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,10 @@ class ControlSignal:
     base: Optional["ControlSignal"] = None
     amplitude: float = 0.0
     n_freq: int = 0
+
+    def __post_init__(self):
+        if self.kind not in CONTROL_KINDS:
+            raise ConfigError(f"unknown control kind {self.kind!r}")
 
     @staticmethod
     def zero(duration: float) -> "ControlSignal":
@@ -83,10 +89,9 @@ class ControlSignal:
         if self.kind == "sampled":
             grid = np.linspace(0.0, self.duration, self.values.size)
             return np.interp(t, grid, self.values)
-        if self.kind == "sinusoid_perturbed":
-            osc = self.amplitude * np.sin(2.0 * np.pi * self.n_freq * t / self.duration)
-            return self.base(t) + osc
-        raise ConfigError(f"unknown control kind {self.kind!r}")
+        # sinusoid_perturbed
+        osc = self.amplitude * np.sin(2.0 * np.pi * self.n_freq * t / self.duration)
+        return self.base(t) + osc
 
     def _clamp(self, a, b):
         a = np.clip(a, 0.0, self.duration)
@@ -108,11 +113,10 @@ class ControlSignal:
             return self._pw_antideriv(b, self.values) - self._pw_antideriv(a, self.values)
         if self.kind == "sampled":
             return self._linear_antideriv(b) - self._linear_antideriv(a)
-        if self.kind == "sinusoid_perturbed":
-            w = 2.0 * np.pi * self.n_freq / self.duration
-            osc = self.amplitude / w * (np.cos(w * a) - np.cos(w * b))
-            return self.base.integral(a, b) + osc
-        raise ConfigError(f"unknown control kind {self.kind!r}")
+        # sinusoid_perturbed
+        w = 2.0 * np.pi * self.n_freq / self.duration
+        osc = self.amplitude / w * (np.cos(w * a) - np.cos(w * b))
+        return self.base.integral(a, b) + osc
 
     def abs_integral(self, a: float, b: float) -> float:
         """Integral of |u| over [a, b]."""
@@ -128,10 +132,9 @@ class ControlSignal:
             for i in range(ts.size - 1):
                 total += _abs_linear_integral(ts[i], ts[i + 1], vs[i], vs[i + 1])
             return float(total)
-        if self.kind == "sinusoid_perturbed":
-            ts = np.linspace(a, b, max(2049, 64 * self.n_freq + 1))
-            return float(np.trapezoid(np.abs(self(ts)), ts))
-        raise ConfigError(f"unknown control kind {self.kind!r}")
+        # sinusoid_perturbed
+        ts = np.linspace(a, b, max(2049, 64 * self.n_freq + 1))
+        return float(np.trapezoid(np.abs(self(ts)), ts))
 
     def lr_norm(self, r: float) -> float:
         """Lr norm of u on [0, duration]; exact for piecewise-constant u."""
@@ -192,8 +195,10 @@ def _abs_linear_integral(t0: float, t1: float, v0: float, v1: float) -> float:
 class PotentialSpec:
     """A real control potential sampled on the quadrature grid.
 
-    grad_sup and wkinf_norms are finite-difference estimates computed on
-    an oversampled estimation grid; wkinf_norms[m] is the proxy norm
+    grad_sup and wkinf_norms are finite-difference estimates, computed on
+    first read and then kept: one walk over the partials on an oversampled
+    estimation grid (the basis nodes for a sampled potential) yields both.
+    wkinf_norms[m], for m in NORM_ORDERS, is the proxy norm
     max_{j <= m} sup_x <x>^(m-j) |D^j K(x)| over all order-j partials,
     which is the multiplier-norm equivalent used consistently throughout
     the package (calibrated constants refer to this same proxy).
@@ -204,8 +209,28 @@ class PotentialSpec:
     width: float
     center: np.ndarray
     grid_values: np.ndarray
-    grad_sup: float
-    wkinf_norms: dict = field(default_factory=dict)
+    nodes: np.ndarray
+
+    @property
+    def grad_sup(self) -> float:
+        """sup_x |grad K(x)|."""
+        return self._estimates[0]
+
+    @property
+    def wkinf_norms(self) -> dict:
+        """{m: proxy W^{m,inf} norm} for m in NORM_ORDERS."""
+        return self._estimates[1]
+
+    @cached_property
+    def _estimates(self) -> tuple[float, dict]:
+        d = self.center.size
+        if self.kind == "sampled":
+            return _derivative_sups(self.grid_values, [self.nodes] * d)
+        x_max = float(np.max(np.abs(self.nodes)))
+        g = np.linspace(-x_max, x_max, {1: min(4 * self.nodes.size, 2048), 2: 192, 3: 96}[d])
+        r2 = reduce(np.add.outer, [(g - c) ** 2 for c in self.center])
+        vals = _radial_profile(self.kind, self.amplitude, self.width)(r2)
+        return _derivative_sups(vals, [g] * d, flat=self.kind == "constant")
 
 
 def _radial_profile(kind: str, amplitude: float, width: float):
@@ -220,29 +245,32 @@ def _radial_profile(kind: str, amplitude: float, width: float):
     raise ConfigError(f"unknown potential kind {kind!r}")
 
 
-def _mixed_partials(arr: np.ndarray, coords: list[np.ndarray], order: int):
-    """All mixed partials of arr up to the given total order, by np.gradient."""
-    levels = [[arr]]
-    for _ in range(order):
-        nxt = []
-        for a in levels[-1]:
-            for ax in range(arr.ndim):
-                nxt.append(np.gradient(a, coords[ax], axis=ax))
-        levels.append(nxt)
-    return levels
+def _derivative_sups(vals: np.ndarray, coords: list[np.ndarray], flat: bool = False):
+    """(sup |grad vals|, {m: proxy norm}) from the np.gradient partials.
 
-
-def _weighted_sups(levels, coords, max_order: int) -> dict:
+    Each partial is folded into the running sups and the running |grad|^2
+    as soon as it is made and dropped after, so only a few grid arrays are
+    alive at once.  flat marks a constant, whose partials are exactly zero.
+    """
     bracket = np.sqrt(1.0 + reduce(np.add.outer, [c**2 for c in coords]))
-    sups = {}
-    for m in range(max_order + 1):
-        best = 0.0
-        for j in range(min(m, len(levels) - 1) + 1):
-            w = bracket ** (m - j)
-            for a in levels[j]:
-                best = max(best, float(np.max(w * np.abs(a))))
-        sups[m] = best
-    return sups
+    sups = dict.fromkeys(NORM_ORDERS, 0.0)
+
+    def fold(partial, j):
+        mag = np.abs(partial)
+        for m in NORM_ORDERS[j:]:
+            sups[m] = max(sups[m], float(np.max(bracket ** (m - j) * mag)))
+
+    fold(vals, 0)
+    if flat:
+        return 0.0, sups
+    grad_sq = 0
+    for ax, c in enumerate(coords):
+        first = np.gradient(vals, c, axis=ax)
+        fold(first, 1)
+        grad_sq = grad_sq + first**2
+        for ax2, c2 in enumerate(coords):
+            fold(np.gradient(first, c2, axis=ax2), 2)
+    return float(np.max(np.sqrt(grad_sq))), sups
 
 
 def make_potential(
@@ -252,19 +280,20 @@ def make_potential(
     width: float = 1.0,
     center=0.0,
     values=None,
-    max_order: int = 2,
 ) -> PotentialSpec:
-    """Build a potential and its derivative-norm estimates on the basis grid."""
+    """Build a potential on the basis grid; its derivative norms wait for their first read."""
     if kind not in POTENTIAL_KINDS:
         raise ConfigError(f"unknown potential kind {kind!r}")
-    if max_order < 0:
-        raise ConfigError(f"max_order must be >= 0, got {max_order}")
+    amplitude, width = float(amplitude), float(width)
+    _check_finite(amplitude, "amplitude")
+    if not (np.isfinite(width) and width > 0.0):
+        raise ConfigError(f"width must be finite and > 0, got {width}")
     d = basis.dim
     ctr = np.full(d, float(center)) if np.isscalar(center) else np.asarray(center, float)
     if ctr.shape != (d,):
         raise ConfigError(f"center must be a scalar or length-{d} sequence")
+    _check_finite(ctr, "center")
 
-    node_grids = [basis.nodes - ctr[ax] for ax in range(d)]
     if kind == "sampled":
         if values is None:
             raise ConfigError("sampled potential requires values")
@@ -275,25 +304,7 @@ def make_potential(
         if vals.shape != (basis.n_nodes,) * d:
             raise ConfigError(f"sampled potential values have shape {vals.shape}, not the grid's")
         _check_finite(vals, "sampled potential values")
-        est_coords = [basis.nodes] * d
-        est_vals = vals
     else:
-        profile = _radial_profile(kind, amplitude, width)
-        r2 = reduce(np.add.outer, [g**2 for g in node_grids])
-        vals = profile(r2)
-        x_max = float(np.max(np.abs(basis.nodes)))
-        n_pts = {1: min(4 * basis.n_nodes, 2048), 2: 192, 3: 96}[d]
-        g = np.linspace(-x_max, x_max, n_pts)
-        est_coords = [g] * d
-        r2e = reduce(np.add.outer, [(g - ctr[ax]) ** 2 for ax in range(d)])
-        est_vals = profile(r2e)
-
-    if kind == "constant":
-        grad_sup = 0.0
-        levels = [[est_vals]] + [[np.zeros_like(est_vals)]] * max_order
-    else:
-        levels = _mixed_partials(est_vals, est_coords, max_order)
-        grads = levels[1] if max_order >= 1 else _mixed_partials(est_vals, est_coords, 1)[1]
-        grad_sup = float(np.max(np.sqrt(sum(gr**2 for gr in grads))))
-    wkinf = _weighted_sups(levels, est_coords, max_order)
-    return PotentialSpec(kind, float(amplitude), float(width), ctr, vals, grad_sup, wkinf)
+        r2 = reduce(np.add.outer, [(basis.nodes - c) ** 2 for c in ctr])
+        vals = _radial_profile(kind, amplitude, width)(r2)
+    return PotentialSpec(kind, amplitude, width, ctr, vals, basis.nodes)

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .controls import ControlSignal
+from .controls import NORM_ORDERS, ControlSignal
 from .dynamics import SimConfig, Trajectory, _snap_records, energy, simulate
 from .hermite import ConfigError, HermiteBasis, SpectralField
 from .operators import _check_beta, check_admissible, free_propagate, sobolev_norm, wsp_norm
@@ -278,6 +278,11 @@ def attainable_ensemble(
     return profiles
 
 
+def _check_norm_order(k) -> None:
+    if k not in NORM_ORDERS:
+        raise ConfigError(f"k = {k}: the potential tabulates its norm only for orders {NORM_ORDERS}")
+
+
 def gronwall_check(
     traj: Trajectory,
     basis: HermiteBasis,
@@ -293,6 +298,7 @@ def gronwall_check(
     if traj.cfg.sigma != 0:
         raise ConfigError("the growth envelope applies to bilinear (sigma = 0) runs")
     if k_norm is None:
+        _check_norm_order(k)
         k_norm = traj.cfg.potential.wkinf_norms[k]
     base = sobolev_norm(basis, traj.psi0, float(k))
     margin = np.inf
@@ -311,6 +317,7 @@ def calibrate_gronwall_constant(
 ) -> float:
     """Largest implied growth constant over calibration runs, times a safety
     factor.  Fixed once and then reused unchanged for fresh configurations."""
+    _check_norm_order(k)
     worst = 0.0
     for traj, basis in runs:
         k_norm = traj.cfg.potential.wkinf_norms[k]

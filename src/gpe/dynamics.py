@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import Optional
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .hermite import (
     SpectralField,
     _analyze,
     _quad_sum,
+    _scratch,
     _synthesize,
     basis_state,
     spectral_field,
@@ -190,11 +192,19 @@ def grid_nonlinear_phase(
     return GridField(values.dim, _phase_kernel(values.values, sigma, k_values, u_integral, dt))
 
 
-def _phase_kernel(v: np.ndarray, sigma: int, k_values: np.ndarray, u_int: float, dt: float):
-    phase = k_values * u_int
+def _phase_kernel(
+    v: np.ndarray, sigma: int, k_values: np.ndarray, u_int: float, dt: float, work: Optional[dict] = None
+):
+    """exp(-i (K u_int - sigma |v|^2 dt)) v, written into _scratch(work) arrays."""
+    phase = np.multiply(k_values, u_int, out=_scratch(work, "phase", v.shape, float))
     if sigma:
-        phase = phase - sigma * np.abs(v) ** 2 * dt
-    return v * np.exp(-1j * phase)
+        mod2 = np.abs(v, out=_scratch(work, "mod2", v.shape, float))
+        np.square(mod2, out=mod2)
+        np.multiply(mod2, sigma * dt, out=mod2)  # equals (sigma |v|^2) dt bit for bit at sigma = +-1
+        np.subtract(phase, mod2, out=phase)
+    rot = np.multiply(-1j, phase, out=_scratch(work, "rot", v.shape))
+    np.exp(rot, out=rot)
+    return np.multiply(v, rot, out=rot)
 
 
 # Step integrals this close, relative to the first of a run, give one step map.
@@ -210,13 +220,17 @@ class _StrangStepper:
         self.dt = dt
         self.half_phase = np.exp(0.5j * basis.lam * dt)
         self.k_values = cfg.potential.grid_values
+        # Every step reuses these grid-sized arrays.  2D and 3D grids pass
+        # glibc's 128 KB mmap threshold, and allocating them afresh made a
+        # 3D N = 16 cubic step about 1.5x slower.
+        self.work = {}
 
     def step(self, coeffs: np.ndarray, u_int: float) -> np.ndarray:
         """One step over which the control integrates to u_int."""
         c = self.half_phase * coeffs
-        v = _synthesize(self.basis, c)
-        v = _phase_kernel(v, self.cfg.sigma, self.k_values, u_int, self.dt)
-        c = _analyze(self.basis, v)
+        v = _synthesize(self.basis, c, self.work)
+        v = _phase_kernel(v, self.cfg.sigma, self.k_values, u_int, self.dt, self.work)
+        c = _analyze(self.basis, v, self.work)
         return self.half_phase * c
 
     def march(self, coeffs: np.ndarray, u_ints: np.ndarray):

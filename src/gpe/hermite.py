@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -240,7 +241,19 @@ def basis_state(basis: HermiteBasis, k) -> SpectralField:
     return SpectralField(basis.dim, basis.n_modes, coeffs)
 
 
-def _contract(tab: np.ndarray, a: np.ndarray, dim: int) -> np.ndarray:
+def _scratch(work: Optional[dict], tag: str, shape: tuple, dtype=complex) -> np.ndarray:
+    """An array to write into: a new one without a work dict, else the one
+    kept in work under (tag, shape), made on first use.  A tag always
+    names arrays of one dtype."""
+    if work is None:
+        return np.empty(shape, dtype)
+    buf = work.get((tag, shape))
+    if buf is None:
+        buf = work[tag, shape] = np.empty(shape, dtype)
+    return buf
+
+
+def _contract(tab: np.ndarray, a: np.ndarray, dim: int, work: Optional[dict] = None) -> np.ndarray:
     """Apply the real (out, in) matrix tab along each of the first dim axes of a.
 
     Axes past the first dim (a batch) ride along at the end.  Each axis is
@@ -248,33 +261,39 @@ def _contract(tab: np.ndarray, a: np.ndarray, dim: int) -> np.ndarray:
     of tab is formed; the contracted axis then moves to position dim - 1,
     which after dim passes restores the axis order.  In 1D that move is the
     identity and is skipped: at N = 64 it costs more than the GEMM itself.
+    With a work dict (see _scratch) the copies and products go into arrays
+    kept there, so the result is overwritten by the next call with it.
     """
     for _ in range(dim):
-        a = np.ascontiguousarray(a, dtype=complex)
+        if not (a.dtype == complex and a.flags.c_contiguous):
+            buf = _scratch(work, "in", a.shape)
+            np.copyto(buf, a)
+            a = buf
         rest = a.shape[1:]
         flat = a.reshape(a.shape[0], -1).view(float)
-        a = (tab @ flat).view(complex).reshape((tab.shape[0],) + rest)
+        out = _scratch(work, "out", (tab.shape[0], flat.shape[1]), float)
+        a = np.matmul(tab, flat, out=out).view(complex).reshape((tab.shape[0],) + rest)
         if dim > 1:
             a = np.moveaxis(a, 0, dim - 1)
     return a
 
 
-def _transform(basis: HermiteBasis, tab: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _transform(basis: HermiteBasis, tab: np.ndarray, x: np.ndarray, work: Optional[dict]) -> np.ndarray:
     if x.ndim == basis.dim:
-        return _contract(tab, x, basis.dim)
-    return np.moveaxis(_contract(tab, np.moveaxis(x, 0, -1), basis.dim), -1, 0)
+        return _contract(tab, x, basis.dim, work)
+    return np.moveaxis(_contract(tab, np.moveaxis(x, 0, -1), basis.dim, work), -1, 0)
 
 
-def _synthesize(basis: HermiteBasis, coeffs: np.ndarray) -> np.ndarray:
+def _synthesize(basis: HermiteBasis, coeffs: np.ndarray, work: Optional[dict] = None) -> np.ndarray:
     """Grid values of coefficients of shape (N,) * dim, or of a batch with
     a leading batch axis."""
-    return _transform(basis, basis.herm_table.T, coeffs)
+    return _transform(basis, basis.herm_table.T, coeffs, work)
 
 
-def _analyze(basis: HermiteBasis, values: np.ndarray) -> np.ndarray:
+def _analyze(basis: HermiteBasis, values: np.ndarray, work: Optional[dict] = None) -> np.ndarray:
     """Coefficients of grid values of shape (M,) * dim, or of a batch with
     a leading batch axis."""
-    return _transform(basis, basis.analysis_table, values)
+    return _transform(basis, basis.analysis_table, values, work)
 
 
 def to_grid(basis: HermiteBasis, f: SpectralField) -> GridField:

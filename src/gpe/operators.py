@@ -110,7 +110,13 @@ def kato_functional(
     _check_beta(beta)
     if n_time < 16:
         raise ConfigError(f"n_time must be at least 16, got {n_time}")
-    t0, t1 = float(t_window[0]), float(t_window[1])
+    try:
+        window = np.asarray(t_window, dtype=float)
+    except (TypeError, ValueError):
+        window = None
+    if window is None or window.shape != (2,) or not np.all(np.isfinite(window)):
+        raise ConfigError(f"t_window must be two finite numbers (t0, t1), got {t_window!r}")
+    t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
         raise ConfigError(f"t_window must satisfy t0 < t1, got ({t0}, {t1})")
     ts = np.linspace(t0, t1, n_time + 1)

@@ -75,6 +75,7 @@ def test_negative_dt_names_field(tmp_path, capsys):
         ("kato_modes_too_large", "n_modes"),
         ("kato_window_reversed", "window"),
         ("kato_window_strings", "window"),
+        ("kato_window_three", "window"),
         ("kato_bad_beta", "beta"),
         ("attainable_n_segments_zero", "n_segments"),
         ("attainable_n_segments_string", "n_segments"),
@@ -92,6 +93,7 @@ def test_negative_dt_names_field(tmp_path, capsys):
         ("random_decay_seed_negative", "seed"),
         ("picard_max_iter_zero", "picard_max_iter"),
         ("potential_max_order_negative", "max_order"),
+        ("potential_width_zero", "width"),
         ("smoothing_sigma_cubic", "sigma"),
         ("smoothing_one_record", "record_times"),
         ("smoothing_duplicate_records", "record_times"),

@@ -1,9 +1,14 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gpe.controls import ControlSignal, make_potential
-from gpe.hermite import ConfigError
+from gpe.controls import POTENTIAL_KINDS, ControlSignal, make_potential
+from gpe.dynamics import simulate
+from gpe.hermite import ConfigError, build_basis
+
+from test_dynamics import bump_config
 
 
 def test_zero_control():
@@ -81,6 +86,8 @@ def test_control_validation():
         u.integral(0.8, 0.2)
     with pytest.raises(ValueError):
         u.lr_norm(0.5)
+    with pytest.raises(ConfigError, match="unknown control kind 'bogus'"):
+        ControlSignal("bogus", 1.0)
 
 
 def test_gaussian_bump_potential(basis64):
@@ -109,8 +116,19 @@ def test_other_potential_kinds(basis64):
         assert pot.grad_sup > 0.0
     with pytest.raises(ValueError):
         make_potential(basis64, "unknown_kind")
-    with pytest.raises(ValueError, match="max_order"):
-        make_potential(basis64, "sech", max_order=-1)
+
+
+def test_potential_parameter_validation(basis64, basis3d):
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="amplitude"):
+            make_potential(basis64, "gaussian_bump", amplitude=bad)
+        with pytest.raises(ConfigError, match="center"):
+            make_potential(basis64, "sech", center=bad)
+        with pytest.raises(ConfigError, match="center"):
+            make_potential(basis3d, "polynomial_decay", center=[0.0, bad, 0.0])
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="width"):
+            make_potential(basis64, "gaussian_bump", width=bad)
 
 
 def test_sampled_potential(basis64):
@@ -134,7 +152,7 @@ def test_sampled_potential(basis64):
 
 
 def test_potential_3d(basis3d):
-    pot = make_potential(basis3d, "gaussian_bump", amplitude=1.0, width=1.5, center=0.2, max_order=1)
+    pot = make_potential(basis3d, "gaussian_bump", amplitude=1.0, width=1.5, center=0.2)
     assert pot.grid_values.shape == (16, 16, 16)
     assert pot.grad_sup > 0.0
     assert pot.wkinf_norms[1] >= pot.grad_sup * 0.5
@@ -173,3 +191,94 @@ def test_array_integral_matches_quad():
     short = controls[-1].integral(edges[:-1], edges[1:])
     assert np.all(short[90:] == 0.0)
     assert np.all(short[:90] != 0.0)
+
+
+def _mixed_partials(arr, coords, order):
+    """All mixed partials of arr up to the given total order, by np.gradient."""
+    levels = [[arr]]
+    for _ in range(order):
+        nxt = []
+        for a in levels[-1]:
+            for ax in range(arr.ndim):
+                nxt.append(np.gradient(a, coords[ax], axis=ax))
+        levels.append(nxt)
+    return levels
+
+
+def _weighted_sups(levels, coords, max_order):
+    bracket = np.sqrt(1.0 + reduce(np.add.outer, [c**2 for c in coords]))
+    sups = {}
+    for m in range(max_order + 1):
+        best = 0.0
+        for j in range(min(m, len(levels) - 1) + 1):
+            w = bracket ** (m - j)
+            for a in levels[j]:
+                best = max(best, float(np.max(w * np.abs(a))))
+        sups[m] = best
+    return sups
+
+
+_PROFILES = {
+    "gaussian_bump": lambda r2, a, w: a * np.exp(-r2 / (2.0 * w**2)),
+    "sech": lambda r2, a, w: a / np.cosh(np.sqrt(r2) / w),
+    "polynomial_decay": lambda r2, a, w: a / (1.0 + r2 / w**2),
+    "constant": lambda r2, a, w: a * np.ones_like(r2),
+}
+
+
+def _eager_estimate(basis, kind, amplitude, width, center, values):
+    """(grid values, grad_sup, wkinf_norms) by the eager all-partials formulation."""
+    d = basis.dim
+    if kind == "sampled":
+        vals, est_vals, est_coords = values, values, [basis.nodes] * d
+    else:
+        profile = _PROFILES[kind]
+        vals = profile(reduce(np.add.outer, [(basis.nodes - c) ** 2 for c in center]), amplitude, width)
+        x_max = float(np.max(np.abs(basis.nodes)))
+        g = np.linspace(-x_max, x_max, {1: min(4 * basis.n_nodes, 2048), 2: 192, 3: 96}[d])
+        est_coords = [g] * d
+        est_vals = profile(reduce(np.add.outer, [(g - c) ** 2 for c in center]), amplitude, width)
+    if kind == "constant":
+        grad_sup = 0.0
+        levels = [[est_vals]] + [[np.zeros_like(est_vals)]] * 2
+    else:
+        levels = _mixed_partials(est_vals, est_coords, 2)
+        grad_sup = float(np.max(np.sqrt(sum(gr**2 for gr in levels[1]))))
+    return vals, grad_sup, _weighted_sups(levels, est_coords, 2)
+
+
+@pytest.mark.parametrize("dim, n_modes", [(1, 64), (2, 16), (3, 8)])
+def test_potential_norms_match_eager_oracle(dim, n_modes):
+    basis = build_basis(dim, n_modes, 2)
+    center = np.array([0.3, -0.2, 0.1][:dim])
+    nodes = reduce(np.add.outer, [basis.nodes / (2.0 + ax) for ax in range(dim)])
+    for kind in POTENTIAL_KINDS:
+        values = np.cos(nodes) * 0.7 if kind == "sampled" else None
+        pot = make_potential(basis, kind, amplitude=0.9, width=1.3, center=center, values=values)
+        vals, grad_sup, norms = _eager_estimate(basis, kind, 0.9, 1.3, center, values)
+        assert pot.grid_values.tobytes() == vals.tobytes(), kind
+        assert pot.grad_sup == grad_sup, kind
+        assert pot.wkinf_norms == norms, kind
+
+
+def test_potential_norms_wait_for_first_read(basis64, monkeypatch):
+    gradient = np.gradient
+
+    def no_gradient(*args, **kwargs):
+        raise AssertionError("np.gradient called")
+
+    monkeypatch.setattr(np, "gradient", no_gradient)
+    for kind in POTENTIAL_KINDS:
+        values = np.cos(basis64.nodes) if kind == "sampled" else None
+        make_potential(basis64, kind, amplitude=0.8, width=1.2, center=0.3, values=values)
+    for sigma in (0, 1):
+        cfg = bump_config(basis64, sigma=sigma, control=ControlSignal.piecewise_constant([0.5, -0.3], 0.02),
+                          t_final=0.02, dt=1e-3, record_times=(0.0, 0.01, 0.02))
+        simulate(basis64, cfg)
+    with pytest.raises(AssertionError, match="np.gradient"):
+        cfg.potential.grad_sup
+    # one walk serves both norms and is kept: in 1D one first and one second partial
+    calls = []
+    monkeypatch.setattr(np, "gradient", lambda *a, **kw: calls.append(1) or gradient(*a, **kw))
+    assert cfg.potential.wkinf_norms[2] >= cfg.potential.grad_sup > 0.0
+    assert len(calls) == 2

@@ -138,7 +138,7 @@ def test_strichartz_rejects_non_admissible(basis64):
 
 def test_strichartz_d3_finite_and_stable():
     b8 = build_basis(3, 8, 2)
-    pot = make_potential(b8, "gaussian_bump", amplitude=0.8, width=1.5, max_order=1)
+    pot = make_potential(b8, "gaussian_bump", amplitude=0.8, width=1.5)
     vals = []
     for dt in (2e-3, 1e-3):
         cfg = SimConfig(
@@ -245,6 +245,13 @@ def test_gronwall_calibration_covers_itself(basis64):
     assert res.passed and res.margin >= 0.0
     with pytest.raises(ValueError):
         gronwall_check(simulate(basis64, bump_config(basis64, sigma=1, t_final=0.05)), basis64, 0, 1.0)
+    # the potential tabulates orders 0..2 only; another k needs an explicit k_norm
+    for k in (3, -1):
+        with pytest.raises(ConfigError, match=f"k = {k}"):
+            gronwall_check(traj, basis64, k, c_hat)
+    assert gronwall_check(traj, basis64, 3, c_hat, k_norm=10.0).passed
+    with pytest.raises(ConfigError, match="k = 5"):
+        calibrate_gronwall_constant([(traj, basis64)], k=5)
 
 
 def test_energy_bound_no_control(basis64):
@@ -273,7 +280,7 @@ def test_energy_bound_constant_potential(basis64):
 
 def test_energy_bound_d3():
     b3 = build_basis(3, 16, 2)
-    pot = make_potential(b3, "gaussian_bump", amplitude=0.8, width=1.5, center=0.2, max_order=1)
+    pot = make_potential(b3, "gaussian_bump", amplitude=0.8, width=1.5, center=0.2)
     u = draw_control(np.random.default_rng(8), 0.5, 2.0, 6)
     cfg = SimConfig(
         dim=3, n_modes=16, sigma=1, t_final=0.5, dt=2e-3,

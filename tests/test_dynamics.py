@@ -165,6 +165,24 @@ def test_simulate_phase_equivariance(basis64):
     assert np.max(np.abs(c - expect)) <= 1e-12
 
 
+@pytest.mark.parametrize("dim, n_modes", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize("sigma", [-1, 0, 1])
+def test_step_work_arrays_match_fresh(dim, n_modes, sigma):
+    # step() writes its grid intermediates into arrays kept on the stepper;
+    # consecutive steps must equal the same formulas on fresh arrays
+    basis = build_basis(dim, n_modes)
+    cfg = bump_config(basis, sigma=sigma, t_final=0.01, dt=1e-3)
+    stepper = dynamics._StrangStepper(basis, cfg, cfg.dt)
+    c = make_initial_state(basis, cfg.initial_state).coeffs
+    for u_int in (0.3, -0.7, 0.1):
+        v = dynamics._synthesize(basis, stepper.half_phase * c)
+        v = dynamics._phase_kernel(v, sigma, stepper.k_values, u_int, cfg.dt)
+        fresh = stepper.half_phase * dynamics._analyze(basis, v)
+        c = stepper.step(c, u_int)
+        assert np.array_equal(c, fresh)
+    assert stepper.work
+
+
 def test_divergence_guard(basis64, monkeypatch):
     monkeypatch.setattr(dynamics, "H1_DIVERGENCE_LIMIT", 0.5)
     cfg = bump_config(basis64, sigma=0)
@@ -257,7 +275,7 @@ def test_simulate_d2_conserves_l2():
     from gpe.hermite import build_basis
 
     b2 = build_basis(2, 16, 2)
-    pot = make_potential(b2, "gaussian_bump", amplitude=0.9, width=1.4, max_order=1)
+    pot = make_potential(b2, "gaussian_bump", amplitude=0.9, width=1.4)
     cfg = SimConfig(
         dim=2, n_modes=16, sigma=1, t_final=0.25, dt=2e-3,
         initial_state=InitialState("random_decay", decay=3.0, seed=4),
@@ -350,9 +368,9 @@ def test_linear_kernels_match_per_step(dim, n_modes, control):
 def count_synthesis(monkeypatch):
     calls = []
 
-    def counted(basis, coeffs):
+    def counted(basis, coeffs, *work):
         calls.append(1)
-        return synthesize(basis, coeffs)
+        return synthesize(basis, coeffs, *work)
 
     synthesize = dynamics._synthesize
     monkeypatch.setattr(dynamics, "_synthesize", counted)

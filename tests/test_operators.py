@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gpe.hermite import basis_state, build_basis, to_grid
+from gpe.hermite import ConfigError, basis_state, build_basis, to_grid
 from gpe.operators import (
     AdmissiblePair,
     apply_fractional_H,
@@ -145,6 +145,13 @@ def test_kato_functional_rejects_bad_beta(basis64):
             kato_functional(basis64, phi, beta, (-1.0, 1.0), 32)
     with pytest.raises(ValueError):
         kato_functional(basis64, phi, 0.3, (-1.0, 1.0), 8)
+
+
+def test_kato_functional_rejects_bad_window(basis64):
+    phi = basis_state(basis64, 0)
+    for window in ((-1.0, 0.0, 1.0), (1.0,), 1.0, ("a", "b"), None, (-np.inf, 1.0), (0.0, np.nan)):
+        with pytest.raises(ConfigError, match="t_window"):
+            kato_functional(basis64, phi, 0.3, window, 32)
 
 
 def test_admissibility():
