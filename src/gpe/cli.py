@@ -32,6 +32,7 @@ from .diagnostics import (
     attainable_ensemble,
     check_smoothing_run,
     holder_quotient,
+    kato_scan,
     residual_states,
     smoothing_residual_series,
     weak_limit_experiment,
@@ -43,8 +44,7 @@ from .dynamics import (
     SimulationDiverged,
     simulate,
 )
-from .hermite import ConfigError, basis_state, build_basis
-from .operators import kato_functional, sobolev_norm
+from .hermite import ConfigError, build_basis
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -283,25 +283,14 @@ def _run_kato_scan(config: dict, seed: int) -> dict:
     _check_keys(diag, allowed, {"beta", "k_max"}, "diagnostic")
     beta = _number(diag, "beta", "diagnostic")
     k_max = _integer(diag, "k_max", "diagnostic")
-    _require(k_max >= 1, "diagnostic.k_max: must be >= 1")
-    n_modes = _optional(diag, "n_modes", "diagnostic", _integer, k_max + 1)
-    _require(n_modes > k_max, "diagnostic.n_modes: must exceed k_max")
+    # at least two modes, so that a k_max below 1 reaches kato_scan's check
+    n_modes = _optional(diag, "n_modes", "diagnostic", _integer, max(k_max + 1, 2))
     window = _optional(diag, "window", "diagnostic", _number_list, [-2.0 * np.pi, 2.0 * np.pi])
     n_time = _optional(diag, "n_time", "diagnostic", _integer, 256)
     qf = _optional(diag, "quad_factor", "diagnostic", _integer, 2)
-    rows = []
     with _at("diagnostic"):
-        basis = build_basis(1, n_modes, qf)
-        for k in range(k_max + 1):
-            phi = basis_state(basis, k)
-            val = kato_functional(basis, phi, beta, window, n_time)
-            rows.append({
-                "k": k,
-                "lambda": float(basis.lam[k]),
-                "kato": val,
-                "sobolev_2beta": sobolev_norm(basis, phi, 2.0 * beta),
-            })
-    return {"kato": rows}
+        points = kato_scan(build_basis(1, n_modes, qf), beta, k_max, window, n_time)
+    return {"kato": [dict(zip(("k", "lambda", "kato", "sobolev_2beta"), p)) for p in points]}
 
 
 def _run_smoothing(config: dict, seed: int) -> dict:

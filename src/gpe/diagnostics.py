@@ -17,8 +17,8 @@ import numpy as np
 
 from .controls import NORM_ORDERS, ControlSignal
 from .dynamics import SimConfig, Trajectory, _snap_records, energy, simulate
-from .hermite import ConfigError, HermiteBasis, SpectralField
-from .operators import _check_beta, check_admissible, free_propagate, sobolev_norm, wsp_norm
+from .hermite import ConfigError, HermiteBasis, SpectralField, basis_state
+from .operators import _check_beta, check_admissible, free_propagate, kato_functional, sobolev_norm, wsp_norm
 
 
 @dataclass(frozen=True)
@@ -197,6 +197,23 @@ def weak_limit_experiment(
         )
         out.append((n, sobolev_norm(basis, diff, s)))
     return out
+
+
+def kato_scan(basis: HermiteBasis, beta: float, k_max: int, t_window, n_time: int = 256) -> list[tuple]:
+    """(k, lambda_k, kato_functional, H^(2 beta) norm) of each 1D eigenstate k = 0 .. k_max.
+
+    Needs 1 <= k_max < n_modes.
+    """
+    if k_max < 1:
+        raise ConfigError(f"k_max must be >= 1, got {k_max}")
+    if not basis.n_modes > k_max:
+        raise ConfigError(f"n_modes = {basis.n_modes} must exceed k_max = {k_max}")
+    points = []
+    for k in range(k_max + 1):
+        phi = basis_state(basis, k)
+        val = kato_functional(basis, phi, beta, t_window, n_time)
+        points.append((k, float(basis.lam[k]), val, sobolev_norm(basis, phi, 2.0 * beta)))
+    return points
 
 
 def spectral_tail_profile(

@@ -13,6 +13,7 @@ potential/nonlinear phase, and a fixed-point iteration of the integral
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional
@@ -35,6 +36,10 @@ from .hermite import (
 from .operators import _check_beta, free_propagate, lp_norm, sobolev_norm
 
 H1_DIVERGENCE_LIMIT = 1.0e6
+
+# How far a record time may lie past t_final.  A Picard window may end past the control
+# by this times max(1, duration), which covers the roundoff in simulate's window ends.
+_TIME_SLACK = 1e-12
 
 
 class SimulationDiverged(RuntimeError):
@@ -102,26 +107,22 @@ class SimConfig:
         """Range-check every field; given a basis, check it, the potential and the initial state fit."""
         if self.sigma not in (-1, 0, 1):
             raise ConfigError(f"sigma must be -1, 0 or 1, got {self.sigma}")
-        if self.t_final <= 0:
-            raise ConfigError("t_final must be positive")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        for name in ("t_final", "dt", "picard_tol", "picard_window"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.integrator not in ("strang", "picard"):
             raise ConfigError(f"unknown integrator {self.integrator!r}")
         for t in self.record_times:
-            if not 0.0 <= t <= self.t_final + 1e-12:
+            if not 0.0 <= t <= self.t_final + _TIME_SLACK:
                 raise ConfigError(f"record_times entry {t} outside [0, {self.t_final}]")
-        if any(s < 0 for s in self.sobolev_s):
-            raise ConfigError(f"sobolev_s orders must be >= 0, got {self.sobolev_s}")
+        if not all(math.isfinite(s) and s >= 0 for s in self.sobolev_s):
+            raise ConfigError(f"sobolev_s orders must be finite and >= 0, got {self.sobolev_s}")
         if self.residual_k < 0:
             raise ConfigError(f"residual_k must be >= 0, got {self.residual_k}")
         _check_beta(self.residual_beta, "residual_beta")
-        if self.picard_tol <= 0:
-            raise ConfigError("picard_tol must be positive")
         if self.picard_max_iter < 1:
             raise ConfigError(f"picard_max_iter must be >= 1, got {self.picard_max_iter}")
-        if self.picard_window <= 0:
-            raise ConfigError("picard_window must be positive")
         if self.control.duration < self.t_final:
             raise ConfigError(f"control duration {self.control.duration} is shorter than t_final")
         if basis is None:
@@ -344,8 +345,9 @@ def simulate(basis: HermiteBasis, cfg: SimConfig) -> Trajectory:
     1D run: there a run of at least n_modes // 2 steps with equal control
     integrals (a piece of a piecewise-constant or zero control) builds its
     N x N step matrix once and advances by one matvec per step, which
-    gives the per-step result to roundoff.  The divergence guard and the
-    records run after every step either way.
+    gives the per-step result to roundoff.  The Picard integrator advances
+    by fixed-point windows of at most picard_window that end at every
+    record step.  The divergence guard runs after every step or window.
     """
     cfg.validate(basis)
     psi0 = make_initial_state(basis, cfg.initial_state)
@@ -353,14 +355,14 @@ def simulate(basis: HermiteBasis, cfg: SimConfig) -> Trajectory:
     records = []
 
     if cfg.integrator == "picard":
-        return _simulate_picard(basis, cfg, psi0, n_steps, dt, record_at)
-
-    stepper = _StrangStepper(basis, cfg, dt)
-    edges = np.arange(n_steps + 1) * dt
-    u_ints = cfg.control.integral(edges[:-1], edges[1:])
+        states = _picard_march(basis, cfg, psi0, n_steps, dt, record_at)
+    else:
+        edges = np.arange(n_steps + 1) * dt
+        u_ints = cfg.control.integral(edges[:-1], edges[1:])
+        states = _StrangStepper(basis, cfg, dt).march(psi0.coeffs, u_ints)
     if 0 in record_at:
         records.append(_record(basis, cfg, 0.0, psi0.coeffs, psi0))
-    for j, c in stepper.march(psi0.coeffs, u_ints):
+    for j, c in states:
         _check_h1(basis, c, j * dt)
         if j in record_at:
             records.append(_record(basis, cfg, j * dt, c, psi0))
@@ -394,62 +396,54 @@ def picard_solve(
     trapezoid rule, seeded with the free evolution.  t_final must be small
     enough for the map to contract; callers restart in windows otherwise.
     Successive iterates are compared in the sup-over-time L2 distance.
+    The window [t_offset, t_offset + t_final] must lie inside the control's
+    duration; ConfigError otherwise.
     """
     cfg.validate(basis)
+    end, duration = t_offset + t_final, cfg.control.duration
+    if not (math.isfinite(end) and t_final > 0 and t_offset >= 0):
+        raise ConfigError(f"picard_solve needs finite t_final > 0 and t_offset >= 0, got {t_final}, {t_offset}")
+    if end > duration + _TIME_SLACK * max(1.0, duration):
+        raise ConfigError(f"picard_solve window [{t_offset}, {end}] ends past the control duration {duration}")
     if psi0 is None:
         psi0 = make_initial_state(basis, cfg.initial_state)
     n = max(1, int(round(t_final / cfg.dt)))
     h = t_final / n
     ts = np.arange(n + 1) * h
-    phases = np.exp(1j * np.multiply.outer(ts, basis.lam))
-    free = phases * psi0.coeffs
-    u_vals = cfg.control(t_offset + ts)
-    k_grid = cfg.potential.grid_values
-    gshape = (-1,) + (1,) * basis.dim
+    phases = np.exp(1j * np.multiply.outer(basis.lam, ts))
+    free = phases * psi0.coeffs[..., None]
+    ku = np.multiply.outer(cfg.potential.grid_values, cfg.control(t_offset + ts))
 
     psi = free.copy()
     dists, ratios = [], []
     for it in range(cfg.picard_max_iter):
         grids = _synthesize(basis, psi)
-        f = (
-            -1j * u_vals.reshape(gshape) * k_grid * grids
-            + 1j * cfg.sigma * np.abs(grids) ** 2 * grids
-        )
+        f = -1j * ku * grids + 1j * cfg.sigma * np.abs(grids) ** 2 * grids
         fc = _analyze(basis, f) * np.conj(phases)
         integral = np.zeros_like(fc)
-        integral[1:] = np.cumsum(0.5 * h * (fc[:-1] + fc[1:]), axis=0)
+        integral[..., 1:] = np.cumsum(0.5 * h * (fc[..., :-1] + fc[..., 1:]), axis=-1)
         new = free + phases * integral
-        dist = float(np.max(np.sqrt(np.sum(np.abs(new - psi) ** 2, axis=tuple(range(1, basis.dim + 1))))))
+        dist = float(np.max(np.sqrt(np.sum(np.abs(new - psi) ** 2, axis=tuple(range(basis.dim))))))
         if dists and dists[-1] > 0.0:
             ratios.append(dist / dists[-1])
         dists.append(dist)
         psi = new
         if dist <= cfg.picard_tol:
-            state = SpectralField(basis.dim, basis.n_modes, psi[-1].copy())
+            state = SpectralField(basis.dim, basis.n_modes, psi[..., -1].copy())
             return PicardResult(state, it + 1, tuple(dists), tuple(ratios))
     raise PicardDidNotConverge(cfg.picard_max_iter, ratios[-1] if ratios else np.inf)
 
 
-def _simulate_picard(basis, cfg, psi0, n_steps, dt, record_at) -> Trajectory:
-    """Windowed fixed-point marching used by simulate(integrator='picard');
-    the divergence guard runs after every window."""
+def _picard_march(basis, cfg, psi0, n_steps, dt, record_at):
+    """Yield (j, state after step j) at the end of each fixed-point window of
+    simulate(integrator='picard').  A window spans at most picard_window
+    and ends at every record step."""
     window_steps = max(1, int(round(cfg.picard_window / dt)))
-    records = []
-    c = psi0.coeffs.copy()
-    if 0 in record_at:
-        records.append(_record(basis, cfg, 0.0, c, psi0))
-    boundaries = sorted(j for j in record_at if j > 0)
-    j0 = 0
-    for j1 in boundaries + ([n_steps] if n_steps not in boundaries else []):
+    c, j0 = psi0.coeffs, 0
+    for j1 in sorted(set(record_at) - {0} | {n_steps}):
         while j0 < j1:
             jn = min(j0 + window_steps, j1)
-            span = (jn - j0) * dt
             start = SpectralField(basis.dim, basis.n_modes, c)
-            res = picard_solve(basis, cfg, span, psi0=start, t_offset=j0 * dt)
-            c = res.state.coeffs
+            c = picard_solve(basis, cfg, (jn - j0) * dt, psi0=start, t_offset=j0 * dt).state.coeffs
             j0 = jn
-            _check_h1(basis, c, j0 * dt)
-        if j1 in record_at:
-            records.append(_record(basis, cfg, j1 * dt, c, psi0))
-    return Trajectory(cfg, dt, psi0, records)
-
+            yield j0, c

@@ -278,22 +278,14 @@ def _contract(tab: np.ndarray, a: np.ndarray, dim: int, work: Optional[dict] = N
     return a
 
 
-def _transform(basis: HermiteBasis, tab: np.ndarray, x: np.ndarray, work: Optional[dict]) -> np.ndarray:
-    if x.ndim == basis.dim:
-        return _contract(tab, x, basis.dim, work)
-    return np.moveaxis(_contract(tab, np.moveaxis(x, 0, -1), basis.dim, work), -1, 0)
-
-
 def _synthesize(basis: HermiteBasis, coeffs: np.ndarray, work: Optional[dict] = None) -> np.ndarray:
-    """Grid values of coefficients of shape (N,) * dim, or of a batch with
-    a leading batch axis."""
-    return _transform(basis, basis.herm_table.T, coeffs, work)
+    """Grid values of coefficients of shape (N,) * dim; trailing batch axes ride along."""
+    return _contract(basis.herm_table.T, coeffs, basis.dim, work)
 
 
 def _analyze(basis: HermiteBasis, values: np.ndarray, work: Optional[dict] = None) -> np.ndarray:
-    """Coefficients of grid values of shape (M,) * dim, or of a batch with
-    a leading batch axis."""
-    return _transform(basis, basis.analysis_table, values, work)
+    """Coefficients of grid values of shape (M,) * dim; trailing batch axes ride along."""
+    return _contract(basis.analysis_table, values, basis.dim, work)
 
 
 def to_grid(basis: HermiteBasis, f: SpectralField) -> GridField:
@@ -317,8 +309,7 @@ def to_spectral(basis: HermiteBasis, g: GridField) -> SpectralField:
 
 
 def _quad_sum(basis: HermiteBasis, v: np.ndarray) -> np.ndarray:
-    """Tensor quadrature sum over the last dim (grid) axes of v; a leading batch axis rides along."""
-    lead = v.ndim - basis.dim
+    """Tensor quadrature sum over the first dim (grid) axes of v; trailing batch axes ride along."""
     for _ in range(basis.dim):
-        v = np.tensordot(v, basis.phys_weights, axes=(lead, 0))
+        v = np.tensordot(v, basis.phys_weights, axes=(0, 0))
     return v

@@ -122,11 +122,11 @@ def kato_functional(
     ts = np.linspace(t0, t1, n_time + 1)
 
     amp = phi.coeffs * basis.lam ** (beta / 2.0)
-    grids = _synthesize(basis, np.exp(1j * np.multiply.outer(ts, basis.lam)) * amp)
+    grids = _synthesize(basis, np.exp(1j * np.multiply.outer(basis.lam, ts)) * amp[..., None])
 
     # fold the weight <x>^(-1/2) squared into the quadrature weights
     r2 = reduce(np.add.outer, [basis.nodes**2] * basis.dim)
-    dens = _quad_sum(basis, np.abs(grids) ** 2 / np.sqrt(1.0 + r2))
+    dens = _quad_sum(basis, np.abs(grids) ** 2 / np.sqrt(1.0 + r2)[..., None])
     return float(np.sqrt(np.trapezoid(dens, ts)))
 
 

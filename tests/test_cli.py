@@ -73,6 +73,8 @@ def test_negative_dt_names_field(tmp_path, capsys):
     [
         ("kato_quad_factor_one", "quad_factor"),
         ("kato_modes_too_large", "n_modes"),
+        ("kato_k_max_zero", "k_max"),
+        ("kato_modes_not_above_k_max", "n_modes"),
         ("kato_window_reversed", "window"),
         ("kato_window_strings", "window"),
         ("kato_window_three", "window"),

@@ -297,10 +297,38 @@ def test_config_validation(basis64):
         replace(cfg, record_times=(2.0,)).validate()
     with pytest.raises(ValueError):
         replace(cfg, integrator="euler").validate()
+    nan, inf = float("nan"), float("inf")
     for field, value in [("picard_max_iter", 0), ("picard_window", 0.0), ("residual_k", -1),
-                         ("residual_beta", 0.5), ("sobolev_s", (0.0, -1.0))]:
+                         ("residual_beta", 0.5), ("sobolev_s", (0.0, -1.0)),
+                         ("t_final", nan), ("t_final", inf), ("dt", nan), ("dt", inf),
+                         ("picard_tol", nan), ("picard_tol", inf), ("picard_window", nan),
+                         ("picard_window", inf), ("sobolev_s", (0.0, nan)), ("sobolev_s", (inf,))]:
         with pytest.raises(ConfigError, match=field):
             replace(cfg, **{field: value}).validate()
+
+
+def test_picard_solve_refuses_bad_time_arguments(basis64):
+    u = ControlSignal.piecewise_constant([0.5], 0.1)
+    cfg = bump_config(basis64, sigma=0, control=u, t_final=0.1, dt=1e-3)
+    nan, inf = float("nan"), float("inf")
+    for t_final, t_offset in [(-0.05, 0.0), (0.0, 0.0), (nan, 0.0), (inf, 0.0),
+                              (0.05, -0.01), (0.05, nan), (0.05, inf)]:
+        with pytest.raises(ConfigError, match="t_final > 0 and t_offset >= 0"):
+            picard_solve(basis64, cfg, t_final, t_offset=t_offset)
+    for t_final, t_offset in [(0.05, 5.0), (0.05, 0.06), (0.2, 0.0)]:
+        with pytest.raises(ConfigError, match="control duration"):
+            picard_solve(basis64, cfg, t_final, t_offset=t_offset)
+    assert picard_solve(basis64, cfg, 0.05, t_offset=0.05).n_iter >= 1
+
+
+def test_picard_solve_accepts_window_ends_of_a_long_run(basis64):
+    # with 10^6 steps of 0.01, j0 * dt + 4 * dt passes T = 10^4 by 1.8e-12
+    t_final, n_steps = 1.0e4, 10**6
+    dt = t_final / n_steps
+    cfg = bump_config(basis64, sigma=0, t_final=t_final, dt=dt)
+    assert (n_steps - 4) * dt + 4 * dt - t_final > 1e-12
+    res = picard_solve(basis64, cfg, 4 * dt, t_offset=(n_steps - 4) * dt)
+    assert res.n_iter == 1
 
 
 @pytest.mark.parametrize("mismatch", ["basis", "potential", "control"])

@@ -194,28 +194,27 @@ def test_spectral_field_rejects_nonfinite(basis32):
 _AXES = "abc"
 
 
-def naive_transform(tab, x, dim, batched):
-    """Contract tab (out, in) along each spatial axis with one einsum."""
+def naive_transform(tab, x, dim):
+    """Contract tab (out, in) along each spatial axis with one einsum; trailing batch axes ride along."""
     ins, outs = _AXES[:dim], _AXES[:dim].upper()
-    lead = "z" if batched else ""
     spec = ",".join(f"{o}{i}" for o, i in zip(outs, ins))
-    return np.einsum(f"{spec},{lead}{ins}->{lead}{outs}", *([tab] * dim), x)
+    return np.einsum(f"{spec},{ins}...->{outs}...", *([tab] * dim), x)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("batch", [None, 3])
+@pytest.mark.parametrize("batch", [None, 3, pytest.param((2, 3), id="2x3")])
 def test_transform_pair_matches_einsum(dim, batch):
     b = build_basis(dim, {1: 24, 2: 12, 3: 6}[dim], 2)
-    rng = np.random.default_rng(10 * dim + (batch or 0))
-    lead = () if batch is None else (batch,)
+    trail = () if batch is None else np.atleast_1d(batch).tolist()
+    rng = np.random.default_rng(10 * dim + sum(trail))
 
     def draw(n):
-        shape = lead + (n,) * dim
+        shape = (n,) * dim + tuple(trail)
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     c = draw(b.n_modes)
     got = _synthesize(b, c)
-    expect = naive_transform(b.herm_table.T, c, dim, batch is not None)
+    expect = naive_transform(b.herm_table.T, c, dim)
     assert got.shape == expect.shape
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
@@ -223,6 +222,6 @@ def test_transform_pair_matches_einsum(dim, batch):
     weighted = b.herm_table * b.phys_weights
     assert np.array_equal(b.analysis_table, weighted)
     got = _analyze(b, v)
-    expect = naive_transform(weighted, v, dim, batch is not None)
+    expect = naive_transform(weighted, v, dim)
     assert got.shape == expect.shape
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
