@@ -23,7 +23,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .controls import ControlSignal, make_potential
 from .diagnostics import (
     attainable_ensemble,
     check_smoothing_run,
+    convergence_errors,
     holder_quotient,
     kato_scan,
     residual_states,
@@ -262,19 +262,11 @@ def _run_convergence(config: dict, seed: int) -> dict:
     diag = config.get("diagnostic", {})
     _check_keys(diag, {"dts", "ref_refine"}, {"dts"}, "diagnostic")
     dts = _number_list(diag, "dts", "diagnostic")
-    _require(len(dts) >= 2, "diagnostic.dts: need at least two step sizes")
     refine = _optional(diag, "ref_refine", "diagnostic", _integer, 16)
-    _require(refine >= 2, "diagnostic.ref_refine: must be an integer >= 2")
     basis, cfg = build_simulation(config["sim"], seed_shift=seed)
-    cfg = replace(cfg, record_times=(cfg.t_final,))
-    rows = []
-    with _at("diagnostic.dts"):
-        ref = simulate(basis, replace(cfg, dt=min(dts) / refine)).final_state
-        for dt in sorted(dts, reverse=True):
-            final = simulate(basis, replace(cfg, dt=dt)).final_state
-            err = float(np.sqrt(np.sum(np.abs(final.coeffs - ref.coeffs) ** 2)))
-            rows.append({"dt": dt, "error": err})
-    return {"convergence": rows}
+    with _at("diagnostic"):
+        rows = convergence_errors(basis, cfg, dts, refine)
+    return {"convergence": [{"dt": dt, "error": err} for dt, err in rows]}
 
 
 def _run_kato_scan(config: dict, seed: int) -> dict:

@@ -10,6 +10,7 @@ the energy bound for the defocusing equation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -196,6 +197,30 @@ def weak_limit_experiment(
             basis.dim, basis.n_modes, traj.final_state.coeffs - base_final.coeffs
         )
         out.append((n, sobolev_norm(basis, diff, s)))
+    return out
+
+
+def convergence_errors(
+    basis: HermiteBasis, cfg: SimConfig, dts, ref_refine: int = 16
+) -> list[tuple[float, float]]:
+    """(dt, ||psi_dt(T) - psi_ref(T)||) for each step size in dts, largest first.
+
+    The reference run steps at min(dts) / ref_refine.  Needs at least two
+    step sizes, each finite and > 0, and ref_refine >= 2.
+    """
+    dts = list(dts)
+    if len(dts) < 2:
+        raise ConfigError(f"dts: need at least two step sizes, got {len(dts)}")
+    if not all(math.isfinite(dt) and dt > 0 for dt in dts):
+        raise ConfigError(f"dts: every step size must be finite and > 0, got {dts}")
+    if not ref_refine >= 2:
+        raise ConfigError(f"ref_refine must be >= 2, got {ref_refine}")
+    cfg = replace(cfg, record_times=(cfg.t_final,))
+    ref = simulate(basis, replace(cfg, dt=min(dts) / ref_refine)).final_state
+    out = []
+    for dt in sorted(dts, reverse=True):
+        final = simulate(basis, replace(cfg, dt=dt)).final_state
+        out.append((dt, float(np.sqrt(np.sum(np.abs(final.coeffs - ref.coeffs) ** 2)))))
     return out
 
 

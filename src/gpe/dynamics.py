@@ -27,6 +27,7 @@ from .hermite import (
     HermiteBasis,
     SpectralField,
     _analyze,
+    _check_fit,
     _quad_sum,
     _scratch,
     _synthesize,
@@ -407,6 +408,7 @@ def picard_solve(
         raise ConfigError(f"picard_solve window [{t_offset}, {end}] ends past the control duration {duration}")
     if psi0 is None:
         psi0 = make_initial_state(basis, cfg.initial_state)
+    _check_fit(basis, psi0, "psi0")
     n = max(1, int(round(t_final / cfg.dt)))
     h = t_final / n
     ts = np.arange(n + 1) * h
@@ -418,8 +420,11 @@ def picard_solve(
     dists, ratios = [], []
     for it in range(cfg.picard_max_iter):
         grids = _synthesize(basis, psi)
-        f = -1j * ku * grids + 1j * cfg.sigma * np.abs(grids) ** 2 * grids
-        fc = _analyze(basis, f) * np.conj(phases)
+        # the integrand without its factor -1j, which is applied to the coefficients
+        f = ku * grids
+        if cfg.sigma:
+            f -= cfg.sigma * np.abs(grids) ** 2 * grids
+        fc = np.conj(phases) * (-1j * _analyze(basis, f))
         integral = np.zeros_like(fc)
         integral[..., 1:] = np.cumsum(0.5 * h * (fc[..., :-1] + fc[..., 1:]), axis=-1)
         new = free + phases * integral

@@ -288,13 +288,18 @@ def _analyze(basis: HermiteBasis, values: np.ndarray, work: Optional[dict] = Non
     return _contract(basis.analysis_table, values, basis.dim, work)
 
 
-def to_grid(basis: HermiteBasis, f: SpectralField) -> GridField:
-    """Synthesis: values_i = sum_k c_k prod_j h_{k_j}(x_{i_j}).  Linear in f."""
+def _check_fit(basis: HermiteBasis, f: SpectralField, name: str = "field") -> None:
+    """ConfigError unless f was built on a basis of the same dim and n_modes."""
     if f.dim != basis.dim or f.n_modes != basis.n_modes:
         raise ConfigError(
-            f"field (dim={f.dim}, n_modes={f.n_modes}) does not match basis "
+            f"{name} (dim={f.dim}, n_modes={f.n_modes}) does not match basis "
             f"(dim={basis.dim}, n_modes={basis.n_modes})"
         )
+
+
+def to_grid(basis: HermiteBasis, f: SpectralField) -> GridField:
+    """Synthesis: values_i = sum_k c_k prod_j h_{k_j}(x_{i_j}).  Linear in f."""
+    _check_fit(basis, f)
     return GridField(basis.dim, _synthesize(basis, f.coeffs))
 
 

@@ -19,6 +19,7 @@ from .hermite import (
     GridField,
     HermiteBasis,
     SpectralField,
+    _check_fit,
     _contract,
     _quad_sum,
     _synthesize,
@@ -36,8 +37,7 @@ def _check_beta(beta: float, name: str = "beta") -> None:
 
 def apply_fractional_H(basis: HermiteBasis, f: SpectralField, s: float) -> SpectralField:
     """Multiply coefficients by lam_k^s.  Negative s inverts the positive power."""
-    if f.dim != basis.dim or f.n_modes != basis.n_modes:
-        raise ConfigError("field does not match basis")
+    _check_fit(basis, f)
     return SpectralField(f.dim, f.n_modes, f.coeffs * basis.lam**s)
 
 
@@ -45,6 +45,7 @@ def sobolev_norm(basis: HermiteBasis, f: SpectralField, s: float) -> float:
     """Oscillator Sobolev norm (sum_k lam_k^s |c_k|^2)^(1/2); s = 0 is L2."""
     if s < 0:
         raise ConfigError(f"sobolev_norm requires s >= 0, got {s}")
+    _check_fit(basis, f)
     return float(np.sqrt(np.sum(basis.lam**s * np.abs(f.coeffs) ** 2)))
 
 
@@ -89,6 +90,7 @@ def sup_norm_refined(
 
 def free_propagate(basis: HermiteBasis, f: SpectralField, t: float) -> SpectralField:
     """Exact free flow: c_k -> exp(i lam_k t) c_k.  Isometric in every H^s."""
+    _check_fit(basis, f)
     return SpectralField(f.dim, f.n_modes, f.coeffs * np.exp(1j * basis.lam * t))
 
 
@@ -106,8 +108,22 @@ def kato_functional(
     tensor quadrature and the time integral by the composite trapezoid
     rule with n_time panels.  Defined for 0 <= beta < 1/2 only; the
     endpoint beta = 1/2 is rejected.
+
+    The free flow is diagonal: with amp = H^(beta/2) phi split by level
+    l = |k| (eigenvalue 2 l + d) into parts g_l, e^{itH} amp equals
+    e^{itd} sum_l e^{2itl} g_l.  So the square of the functional is the
+    quadratic form Re sum_{l,m} Q_lm S(l - m), where
+
+        Q_lm = sum_x W(x) (1 + |x|^2)^(-1/2) g_l(x) conj(g_m(x)),
+        S(D) = sum_j w_j exp(2 i t_j D),
+
+    W the quadrature weights and w_j the trapezoid weights of the time
+    grid.  Only levels where amp is nonzero enter.  S is indexed by the
+    integer gap D = l - m, computed for D >= 0 and conjugated for D < 0;
+    no time slice is synthesized.
     """
     _check_beta(beta)
+    _check_fit(basis, phi, "phi")
     if n_time < 16:
         raise ConfigError(f"n_time must be at least 16, got {n_time}")
     try:
@@ -122,12 +138,34 @@ def kato_functional(
     ts = np.linspace(t0, t1, n_time + 1)
 
     amp = phi.coeffs * basis.lam ** (beta / 2.0)
-    grids = _synthesize(basis, np.exp(1j * np.multiply.outer(basis.lam, ts)) * amp[..., None])
+    level = np.indices(amp.shape).sum(axis=0)
+    levels = np.flatnonzero(np.bincount(level[amp != 0]))
+    if levels.size == 0:
+        return 0.0
 
-    # fold the weight <x>^(-1/2) squared into the quadrature weights
+    # S(D) for D = k b + r, 0 <= r < b, is sum_j w_j e^{2i t_j k b} e^{2i t_j r}: one
+    # small complex GEMM over about 2 sqrt(span) exponentials per time node
+    w = np.convolve(np.diff(ts), [0.5, 0.5])  # the trapezoid weights
+    span = int(levels[-1] - levels[0])
+    b = math.isqrt(span) + 1
+    low = np.exp(2j * np.multiply.outer(ts, np.arange(b)))
+    high = np.exp(2j * np.multiply.outer(np.arange(0, span + 1, b), ts)) * w
+    s = (high @ low).ravel()[: span + 1]
+    s = np.concatenate([s[:0:-1].conj(), s])  # S(D) at index D + span
+    s_gap = s[np.subtract.outer(levels, levels) + span]  # S(l - m)
+
+    # the quadrature weights with <x>^(-1/2) squared folded in
     r2 = reduce(np.add.outer, [basis.nodes**2] * basis.dim)
-    dens = _quad_sum(basis, np.abs(grids) ** 2 / np.sqrt(1.0 + r2)[..., None])
-    return float(np.sqrt(np.trapezoid(dens, ts)))
+    wx = reduce(np.multiply.outer, [basis.phys_weights] * basis.dim) / np.sqrt(1.0 + r2)
+    if basis.dim == 1:
+        # one mode per level: Q = (a a^H) o (H_s diag(wx) H_s^T), one real GEMM
+        a, hs = amp[levels], basis.herm_table[levels]
+        total = np.vdot(a, a @ (((hs * wx) @ hs.T) * s_gap))
+    else:
+        parts = np.where(level[..., None] == levels, amp[..., None], 0.0)
+        g = _synthesize(basis, parts).reshape(-1, levels.size)
+        total = np.sum(((g * wx.reshape(-1, 1)).T @ g.conj()) * s_gap)
+    return math.sqrt(max(float(total.real), 0.0))
 
 
 def check_admissible(q: float, r: float, dim: int) -> bool:

@@ -85,6 +85,8 @@ def test_negative_dt_names_field(tmp_path, capsys):
         ("attainable_cutoffs_string", "cutoffs"),
         ("convergence_dts_strings", "dts"),
         ("convergence_dts_negative", "dts"),
+        ("convergence_one_dt", "dts"),
+        ("convergence_ref_refine_one", "ref_refine"),
         ("eigenstate_k_out_of_range", "k = "),
         ("eigenstate_k_wrong_length", "k = "),
         ("coherent_displacement_string", "displacement"),

@@ -9,6 +9,7 @@ from gpe.diagnostics import (
     attainable_ensemble,
     calibrate_gronwall_constant,
     check_smoothing_run,
+    convergence_errors,
     draw_control,
     energy_bound_check,
     gronwall_check,
@@ -296,3 +297,22 @@ def test_energy_bound_d3():
             initial_state=InitialState("random_decay", decay=3.0, seed=1),
             potential=pot, control=u, record_times=(0.01,),
         )), b3)
+
+
+def test_convergence_errors_checks_and_order(basis32):
+    cfg = bump_config(basis32, sigma=1, t_final=0.05, dt=1e-2)
+    for dts, refine, key in [
+        ([0.01], 4, "dts"),
+        ([], 4, "dts"),
+        ([0.01, 0.0], 4, "dts"),
+        ([0.01, -0.005], 4, "dts"),
+        ([0.01, np.inf], 4, "dts"),
+        ([0.01, np.nan], 4, "dts"),
+        ([0.01, 0.005], 1, "ref_refine"),
+    ]:
+        with pytest.raises(ConfigError, match=key):
+            convergence_errors(basis32, cfg, dts, refine)
+    rows = convergence_errors(basis32, cfg, [0.005, 0.01], 4)
+    assert [dt for dt, _ in rows] == [0.01, 0.005]
+    # the errors shrink like dt^2 (Strang)
+    assert 0.0 < rows[1][1] < rows[0][1] / 3.0

@@ -1,8 +1,21 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gpe.hermite import ConfigError, basis_state, build_basis, to_grid
+import gpe.operators
+from gpe.controls import ControlSignal, make_potential
+from gpe.dynamics import InitialState, SimConfig, picard_solve
+from gpe.hermite import (
+    ConfigError,
+    _quad_sum,
+    _synthesize,
+    basis_state,
+    build_basis,
+    spectral_field,
+    to_grid,
+)
 from gpe.operators import (
     AdmissiblePair,
     apply_fractional_H,
@@ -152,6 +165,90 @@ def test_kato_functional_rejects_bad_window(basis64):
     for window in ((-1.0, 0.0, 1.0), (1.0,), 1.0, ("a", "b"), None, (-np.inf, 1.0), (0.0, np.nan)):
         with pytest.raises(ConfigError, match="t_window"):
             kato_functional(basis64, phi, 0.3, window, 32)
+
+
+def kato_time_slices(basis, phi, beta, t_window, n_time):
+    """The functional by synthesis of every time slice and np.trapezoid over them."""
+    ts = np.linspace(t_window[0], t_window[1], n_time + 1)
+    amp = phi.coeffs * basis.lam ** (beta / 2.0)
+    grids = _synthesize(basis, np.exp(1j * np.multiply.outer(basis.lam, ts)) * amp[..., None])
+    r2 = reduce(np.add.outer, [basis.nodes**2] * basis.dim)
+    dens = _quad_sum(basis, np.abs(grids) ** 2 / np.sqrt(1.0 + r2)[..., None])
+    return float(np.sqrt(np.trapezoid(dens, ts)))
+
+
+def two_level_state(basis):
+    c = np.zeros(basis.n_modes, dtype=complex)
+    c[3], c[40] = 1.0, 0.7 - 0.2j
+    return spectral_field(basis, c)
+
+
+@pytest.mark.parametrize(
+    "dim, n_modes, state, window, n_time",
+    [
+        (1, 64, "dense", (-2 * np.pi, 2 * np.pi), 256),
+        (1, 64, "dense", (-0.3, 1.7), 37),
+        (1, 64, "two-level", (-2 * np.pi, 2 * np.pi), 256),
+        (1, 64, "two-level", (0.5, 3.0), 41),
+        (1, 64, "eigenstate", (-0.3, 1.7), 37),
+        (2, 12, "dense", (-2 * np.pi, 2 * np.pi), 64),
+        (2, 12, "dense", (0.5, 3.0), 17),
+        (2, 12, "eigenstate", (-0.3, 1.7), 37),
+        (3, 6, "dense", (-2 * np.pi, 2 * np.pi), 64),
+        (3, 6, "dense", (-0.3, 1.7), 37),
+    ],
+)
+def test_kato_functional_matches_time_slices(dim, n_modes, state, window, n_time):
+    basis = build_basis(dim, n_modes)
+    if state == "dense":
+        phi = random_spectral(basis, np.random.default_rng(dim + n_time))
+    elif state == "two-level":
+        phi = two_level_state(basis)
+    else:
+        phi = basis_state(basis, (2,) * dim)
+    want = kato_time_slices(basis, phi, 0.3, window, n_time)
+    got = kato_functional(basis, phi, 0.3, window, n_time)
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_kato_functional_1d_synthesizes_nothing(basis64, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return synthesize(*args)
+
+    synthesize = gpe.operators._synthesize
+    monkeypatch.setattr(gpe.operators, "_synthesize", counted)
+    for phi in (basis_state(basis64, 5), two_level_state(basis64)):
+        assert kato_functional(basis64, phi, 0.3, (-1.0, 1.0), 32) > 0.0
+    assert calls == []
+    basis2 = build_basis(2, 6)
+    assert kato_functional(basis2, basis_state(basis2, (1, 2)), 0.3, (-1.0, 1.0), 32) > 0.0
+    assert len(calls) == 1
+
+
+def test_field_on_another_basis_is_refused(basis64, basis32):
+    phi = basis_state(basis32, 3)
+    calls = [
+        lambda: sobolev_norm(basis64, phi, 1.0),
+        lambda: free_propagate(basis64, phi, 0.5),
+        lambda: kato_functional(basis64, phi, 0.3, (-1.0, 1.0), 32),
+        lambda: apply_fractional_H(basis64, phi, 0.5),
+        lambda: to_grid(basis64, phi),
+    ]
+    pot = make_potential(basis64, "gaussian_bump", amplitude=1.0, width=1.2)
+    cfg = SimConfig(dim=1, n_modes=64, sigma=0, t_final=0.01, dt=1e-3,
+                    initial_state=InitialState("eigenstate", (0,)), potential=pot,
+                    control=ControlSignal.zero(0.01), record_times=(0.0, 0.01))
+    calls.append(lambda: picard_solve(basis64, cfg, 0.01, psi0=phi))
+    for call in calls:
+        with pytest.raises(ConfigError, match=r"\(dim=1, n_modes=32\) does not match basis \(dim=1, n_modes=64\)"):
+            call()
+    with pytest.raises(ConfigError, match="psi0"):
+        calls[-1]()
+    with pytest.raises(ConfigError, match="phi"):
+        calls[2]()
 
 
 def test_admissibility():
