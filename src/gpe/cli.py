@@ -327,7 +327,6 @@ def _run_attainable(config: dict, seed: int) -> dict:
     k = _optional(diag, "k", "diagnostic", _integer, 0)
     beta = _optional(diag, "beta", "diagnostic", _number, 0.4)
     cutoffs = _optional(diag, "cutoffs", "diagnostic", _number_list, None)
-    _require(cutoffs != [], "diagnostic.cutoffs: expected a nonempty list")
     basis, cfg = build_simulation(config["sim"], seed_shift=0)
     profiles = attainable_ensemble(
         basis, cfg, n_samples, control_norm, seed=seed, k=k, beta=beta,

@@ -17,9 +17,17 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .controls import NORM_ORDERS, ControlSignal
-from .dynamics import SimConfig, Trajectory, _snap_records, energy, simulate
+from .dynamics import SimConfig, Trajectory, _march_members, _snap_records, energy, make_initial_state, simulate
 from .hermite import ConfigError, HermiteBasis, SpectralField, basis_state
-from .operators import _check_beta, check_admissible, free_propagate, kato_functional, sobolev_norm, wsp_norm
+from .operators import (
+    _check_beta,
+    _check_order,
+    check_admissible,
+    free_propagate,
+    kato_functional,
+    sobolev_norm,
+    wsp_norm,
+)
 
 
 @dataclass(frozen=True)
@@ -180,22 +188,28 @@ def weak_limit_experiment(
 
     For each n, runs the base control plus A sin(2 pi n t / T), a family
     converging weakly to the base control as n grows, and returns
-    (n, ||psi_n(T) - psi(T)||_{H^s}).  The runs record at T alone, so the
-    result does not depend on cfg.record_times.
+    (n, ||psi_n(T) - psi(T)||_{H^s}).  The base run is one simulate; the
+    perturbed runs march together as the members of one batch, on the
+    base run's step grid, and at amplitude 0 they are the base run, at
+    distance 0.  Only the state at T is used, so the result does not
+    depend on cfg.record_times.
     """
     if not n_list or sorted(n_list) != list(n_list) or n_list[0] < 1:
         raise ConfigError(f"n_list must be a nonempty increasing list of n >= 1, got {n_list}")
-    if amplitude < 0:
-        raise ConfigError("amplitude must be nonnegative")
+    if not 0.0 <= amplitude < math.inf:
+        raise ConfigError(f"amplitude must be finite and >= 0, got {amplitude}")
+    _check_order(s)
     cfg = replace(cfg, record_times=(cfg.t_final,))
-    base_final = simulate(basis, cfg).final_state
+    base = simulate(basis, cfg)
+    if amplitude == 0:  # every perturbed control is the base control itself
+        return [(n, 0.0) for n in n_list]
+    n_steps, dt, _ = _snap_records(cfg)
+    perts = [ControlSignal.sinusoid_perturbed(cfg.control, amplitude, n) for n in n_list]
+    start = np.repeat(base.psi0.coeffs[..., None], len(perts), axis=-1)
+    finals = _march_members(basis, cfg, start, perts, [n_steps] * len(perts), dt)
     out = []
-    for n in n_list:
-        pert = ControlSignal.sinusoid_perturbed(cfg.control, amplitude, n)
-        traj = simulate(basis, replace(cfg, control=pert))
-        diff = SpectralField(
-            basis.dim, basis.n_modes, traj.final_state.coeffs - base_final.coeffs
-        )
+    for b, n in enumerate(n_list):
+        diff = SpectralField(basis.dim, basis.n_modes, finals[..., b] - base.final_state.coeffs)
         out.append((n, sobolev_norm(basis, diff, s)))
     return out
 
@@ -241,12 +255,20 @@ def kato_scan(basis: HermiteBasis, beta: float, k_max: int, t_window, n_time: in
     return points
 
 
+def _cutoff_array(cutoffs) -> np.ndarray:
+    """The cutoffs as a sorted float array; ConfigError unless nonempty and finite."""
+    cut = np.sort(np.asarray(cutoffs, dtype=float).ravel())
+    if not cut.size or not np.all(np.isfinite(cut)):
+        raise ConfigError(f"cutoffs must be a nonempty list of finite numbers, got {cutoffs}")
+    return cut
+
+
 def spectral_tail_profile(
     basis: HermiteBasis, f: SpectralField, weight_s: float, cutoffs
 ) -> TailProfile:
     """Masses sum_{lam_k > cutoff} lam_k^weight_s |c_k|^2, one per cutoff."""
     w = basis.lam**weight_s * np.abs(f.coeffs) ** 2
-    cut = np.asarray(sorted(cutoffs), dtype=float)
+    cut = _cutoff_array(cutoffs)
     masses = np.array([float(np.sum(w[basis.lam > c])) for c in cut])
     return TailProfile(cut, masses, weight_s)
 
@@ -277,9 +299,13 @@ def attainable_ensemble(
     """Tail profiles of interaction parts over random controls and times.
 
     Each sample draws a piecewise-constant control scaled to the exact L2
-    norm control_norm on [0, T] and a uniform random time snapped to the
-    step grid (and never past T), runs the bilinear equation, and profiles
-    psi(t*) - e^{it*H} psi0 in H^(k+beta).  Deterministic given the seed.
+    norm control_norm on [0, T], then a uniform random time t* in [0, T].
+    Every sample runs on the step grid of simulate(cfg_template): n =
+    max(1, round(T / dt)) steps of dt_g = T / n, and the sample stops after
+    min(round(t* / dt_g), n) of them, at t_i.  The samples march as the
+    members of one batch of bilinear runs, and each profiles
+    psi(t_i) - e^{i t_i H} psi0 in H^(k+beta); a sample with no step
+    profiles zero.  Deterministic given the seed.
     """
     cfg_template.validate(basis)
     if n_samples < 1:
@@ -288,35 +314,30 @@ def attainable_ensemble(
         raise ConfigError("attainable ensembles are bilinear (sigma = 0)")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    if control_norm < 0:
-        raise ConfigError(f"control_norm must be >= 0, got {control_norm}")
+    if not 0.0 <= control_norm < math.inf:
+        raise ConfigError(f"control_norm must be finite and >= 0, got {control_norm}")
     if n_segments < 1:
         raise ConfigError(f"n_segments must be >= 1, got {n_segments}")
     _check_beta(beta)
-    rng = np.random.default_rng(seed)
-    weight_s = k + beta
     if cutoffs is None:
         n = basis.n_modes
         cutoffs = [float(2 * (n // 4) + 1), float(2 * (n // 2) + 1), float(2 * (3 * n // 4) + 1)]
+    cutoffs = _cutoff_array(cutoffs)
     t_total = cfg_template.t_final
-    profiles = []
+    n_steps, dt, _ = _snap_records(cfg_template)
+    rng = np.random.default_rng(seed)
+    controls, stops = [], []
     for _ in range(n_samples):
-        u = draw_control(rng, t_total, control_norm, n_segments)
-        t_star = rng.uniform(0.0, t_total)
-        n_steps = int(round(t_star / cfg_template.dt))
-        if n_steps == 0:
-            zero = SpectralField(
-                basis.dim,
-                basis.n_modes,
-                np.zeros((basis.n_modes,) * basis.dim, dtype=complex),
-            )
-            profiles.append(spectral_tail_profile(basis, zero, weight_s, cutoffs))
-            continue
-        t_run = min(n_steps * cfg_template.dt, t_total)
-        cfg = replace(cfg_template, control=u, t_final=t_run, record_times=(t_run,))
-        traj = simulate(basis, cfg)
-        _, res = residual_states(traj, basis)[-1]
-        profiles.append(spectral_tail_profile(basis, res, weight_s, cutoffs))
+        controls.append(draw_control(rng, t_total, control_norm, n_segments))
+        stops.append(min(int(round(rng.uniform(0.0, t_total) / dt)), n_steps))
+    psi0 = make_initial_state(basis, cfg_template.initial_state)
+    start = np.repeat(psi0.coeffs[..., None], n_samples, axis=-1)
+    finals = _march_members(basis, cfg_template, start, controls, stops, dt)
+    profiles = []
+    for b, stop in enumerate(stops):
+        res = finals[..., b] - free_propagate(basis, psi0, stop * dt).coeffs
+        res = SpectralField(basis.dim, basis.n_modes, res)
+        profiles.append(spectral_tail_profile(basis, res, k + beta, cutoffs))
     return profiles
 
 

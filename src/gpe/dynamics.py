@@ -14,7 +14,7 @@ potential/nonlinear phase, and a fixed-point iteration of the integral
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Optional
 
@@ -227,13 +227,18 @@ class _StrangStepper:
         # 3D N = 16 cubic step about 1.5x slower.
         self.work = {}
 
-    def step(self, coeffs: np.ndarray, u_int: float) -> np.ndarray:
-        """One step over which the control integrates to u_int."""
-        c = self.half_phase * coeffs
+    def step(self, coeffs: np.ndarray, u_int) -> np.ndarray:
+        """One step over which the control integrates to u_int.  coeffs may
+        carry a trailing member axis, and u_int then holds one integral per
+        member."""
+        half_phase, k_values = self.half_phase, self.k_values
+        if coeffs.ndim > self.basis.dim:
+            half_phase, k_values = half_phase[..., None], k_values[..., None]
+        c = half_phase * coeffs
         v = _synthesize(self.basis, c, self.work)
-        v = _phase_kernel(v, self.cfg.sigma, self.k_values, u_int, self.dt, self.work)
+        v = _phase_kernel(v, self.cfg.sigma, k_values, u_int, self.dt, self.work)
         c = _analyze(self.basis, v, self.work)
-        return self.half_phase * c
+        return half_phase * c
 
     def march(self, coeffs: np.ndarray, u_ints: np.ndarray):
         """Yield (j, state after step j) for j = 1 .. len(u_ints); the control
@@ -315,11 +320,24 @@ def _record(
     return TrajectoryRecord(t, state, l2, _energy(basis, coeffs, values), sob, res, linf)
 
 
-def _check_h1(basis: HermiteBasis, coeffs: np.ndarray, t: float) -> None:
-    """The divergence guard: raise SimulationDiverged once the H1 norm passes the limit or is NaN."""
-    h1sq = np.vdot(coeffs, basis.lam * coeffs).real
-    if not h1sq <= H1_DIVERGENCE_LIMIT**2:
-        raise SimulationDiverged(t, float(np.sqrt(h1sq)))
+def _check_h1(basis: HermiteBasis, coeffs: np.ndarray, t: float):
+    """The divergence guard: raise SimulationDiverged once the H1 norm passes the limit or is NaN.
+
+    Returns the squared H1 norm.  A trailing member axis of coeffs gives one
+    per member, and the first member over the limit is the one reported.
+    """
+    if coeffs.ndim == basis.dim:
+        h1sq = np.vdot(coeffs, basis.lam * coeffs).real
+        if not h1sq <= H1_DIVERGENCE_LIMIT**2:
+            raise SimulationDiverged(t, float(np.sqrt(h1sq)))
+        return h1sq
+    # one GEMV over the squared real and imaginary parts, then one sum per member
+    parts = basis.lam.reshape(-1) @ np.square(coeffs.reshape(basis.lam.size, -1).view(float))
+    h1sq = parts[0::2] + parts[1::2]
+    if not h1sq.max() <= H1_DIVERGENCE_LIMIT**2:
+        first = np.flatnonzero(~(h1sq <= H1_DIVERGENCE_LIMIT**2))[0]
+        raise SimulationDiverged(t, float(np.sqrt(h1sq[first])))
+    return h1sq
 
 
 def _snap_records(cfg: SimConfig) -> tuple[int, float, dict]:
@@ -368,6 +386,62 @@ def simulate(basis: HermiteBasis, cfg: SimConfig) -> Trajectory:
         if j in record_at:
             records.append(_record(basis, cfg, j * dt, c, psi0))
     return Trajectory(cfg, dt, psi0, records)
+
+
+def _march_members(
+    basis: HermiteBasis, cfg: SimConfig, coeffs: np.ndarray, controls: list, stops, dt: float
+) -> np.ndarray:
+    """Final states of a batch of runs of cfg, one member per trailing column.
+
+    Member b starts from coeffs[..., b], is driven by controls[b] and stops
+    after stops[b] steps of size dt; a member with no step keeps its start.
+    A member runs alone, as its own simulate would, under the Picard
+    integrator, whose windows carry no member axis, and when step matrices
+    would take at least half of its steps (a linear 1D member driven by
+    long constant pieces; see _StrangStepper.march), since a matvec costs
+    less than its share of a batched step.  The other members advance
+    together, one _StrangStepper.step per time step, and leave the batch
+    as they stop.  The divergence guard checks every member after every
+    step or window.  Members running alone go first, in order; in the
+    batch, the first report comes at the earliest step a member trips,
+    from the lowest-numbered member tripping then, at the t its own run
+    would report.
+    """
+    finals = np.array(coeffs, dtype=complex)
+    stops = np.asarray(stops, dtype=int)
+    edges = np.arange(stops.max() + 1) * dt
+    stepper = _StrangStepper(basis, cfg, dt)
+    batch, batch_u = [], []
+    for b in np.flatnonzero(stops):
+        stop, start = int(stops[b]), finals[..., b].copy()
+        if cfg.integrator == "picard":
+            start = SpectralField(basis.dim, basis.n_modes, start)
+            states = _picard_march(basis, replace(cfg, control=controls[b]), start, stop, dt, (stop,))
+        else:
+            u = controls[b].integral(edges[:-1], edges[1:])
+            if 2 * sum(hi - lo for lo, hi in stepper._matrix_runs(u[:stop])) < stop:
+                batch.append(b)
+                batch_u.append(u)
+                continue
+            states = stepper.march(start, u[:stop])
+        for j, c in states:
+            _check_h1(basis, c, j * dt)
+        finals[..., b] = c
+    if not batch:
+        return finals
+    active, u_ints = np.array(batch), np.stack(batch_u, axis=-1)
+    c = finals[..., active]
+    stop_steps = set(stops[active].tolist())
+    for j in range(1, max(stop_steps) + 1):
+        c = stepper.step(c, u_ints[j - 1])
+        _check_h1(basis, c, j * dt)
+        if j in stop_steps:
+            done = stops[active] == j
+            finals[..., active[done]] = c[..., done]
+            keep = ~done
+            active, c, u_ints = active[keep], c[..., keep], u_ints[:, keep]
+            stepper.work.clear()  # work arrays sized for the larger batch
+    return finals
 
 
 @dataclass(frozen=True)

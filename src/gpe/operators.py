@@ -35,6 +35,12 @@ def _check_beta(beta: float, name: str = "beta") -> None:
         raise ConfigError(f"{name} must satisfy 0 <= {name} < 1/2, got {beta}")
 
 
+def _check_order(s: float, name: str = "s") -> None:
+    """Sobolev orders are finite and >= 0."""
+    if not 0.0 <= s < math.inf:
+        raise ConfigError(f"{name} must be finite and >= 0, got {s}")
+
+
 def apply_fractional_H(basis: HermiteBasis, f: SpectralField, s: float) -> SpectralField:
     """Multiply coefficients by lam_k^s.  Negative s inverts the positive power."""
     _check_fit(basis, f)
@@ -43,8 +49,7 @@ def apply_fractional_H(basis: HermiteBasis, f: SpectralField, s: float) -> Spect
 
 def sobolev_norm(basis: HermiteBasis, f: SpectralField, s: float) -> float:
     """Oscillator Sobolev norm (sum_k lam_k^s |c_k|^2)^(1/2); s = 0 is L2."""
-    if s < 0:
-        raise ConfigError(f"sobolev_norm requires s >= 0, got {s}")
+    _check_order(s)
     _check_fit(basis, f)
     return float(np.sqrt(np.sum(basis.lam**s * np.abs(f.coeffs) ** 2)))
 
@@ -55,8 +60,8 @@ def lp_norm(basis: HermiteBasis, g: GridField, p: float) -> float:
     The node max is a lower bound for the true sup; see sup_norm_refined
     for a synthesis-based sharpening.
     """
-    if p < 1:
-        raise ConfigError("lp_norm requires p >= 1")
+    if not p >= 1:
+        raise ConfigError(f"lp_norm requires p >= 1 (p = inf for the max), got {p}")
     if np.isinf(p):
         return float(np.max(np.abs(g.values)))
     return float(_quad_sum(basis, np.abs(g.values) ** p) ** (1.0 / p))
@@ -64,8 +69,7 @@ def lp_norm(basis: HermiteBasis, g: GridField, p: float) -> float:
 
 def wsp_norm(basis: HermiteBasis, f: SpectralField, s: float, p: float) -> float:
     """Mixed Sobolev-Lp norm, computed as the Lp norm of H^(s/2) f."""
-    if s < 0:
-        raise ConfigError("wsp_norm requires s >= 0")
+    _check_order(s)
     return lp_norm(basis, to_grid(basis, apply_fractional_H(basis, f, s / 2.0)), p)
 
 

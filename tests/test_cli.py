@@ -83,6 +83,7 @@ def test_negative_dt_names_field(tmp_path, capsys):
         ("attainable_n_segments_string", "n_segments"),
         ("attainable_k_string", "diagnostic.k"),
         ("attainable_cutoffs_string", "cutoffs"),
+        ("attainable_cutoffs_empty", "cutoffs"),
         ("convergence_dts_strings", "dts"),
         ("convergence_dts_negative", "dts"),
         ("convergence_one_dt", "dts"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gpe.controls import ControlSignal, make_potential
-from gpe.dynamics import InitialState, SimConfig, Trajectory, TrajectoryRecord, simulate
+from gpe.dynamics import InitialState, SimConfig, Trajectory, TrajectoryRecord, _snap_records, simulate
 from gpe.diagnostics import (
     attainable_ensemble,
     calibrate_gronwall_constant,
@@ -21,9 +21,9 @@ from gpe.diagnostics import (
     weak_limit_experiment,
 )
 from gpe.hermite import ConfigError, basis_state, build_basis, spectral_field
-from gpe.operators import sobolev_norm
+from gpe.operators import free_propagate, sobolev_norm
 
-from test_dynamics import bump_config
+from test_dynamics import bump_config, count_synthesis
 
 
 def test_residual_vanishes_without_control(basis64):
@@ -178,6 +178,50 @@ def test_weak_limit_measures_at_final_time(basis64):
     assert early == at_t
 
 
+@pytest.mark.parametrize(
+    "dim, n_modes, sigma, integrator, s",
+    [(1, 64, 0, "strang", 0.0), (1, 64, 0, "strang", 1.0), (2, 16, 1, "strang", 0.0),
+     (1, 16, 1, "picard", 0.5)],
+)
+def test_weak_limit_matches_looped_simulate(dim, n_modes, sigma, integrator, s):
+    # the perturbed runs march as one batch; each must equal its own simulate
+    # to 1e-12 of the states' H^s norm, which bounds the change of a distance
+    basis = build_basis(dim, n_modes)
+    u = ControlSignal.piecewise_constant([0.3, -0.2], 0.2)
+    cfg = bump_config(basis, sigma=sigma, control=u, t_final=0.2, dt=4e-3, integrator=integrator,
+                      picard_window=0.05)
+    n_list = [1, 3, 8]
+    got = weak_limit_experiment(basis, cfg, n_list, 0.8, s)
+    base = simulate(basis, cfg).final_state.coeffs
+    scale = sobolev_norm(basis, spectral_field(basis, base), s)
+    for (n, err), m in zip(got, n_list):
+        pert = ControlSignal.sinusoid_perturbed(u, 0.8, m)
+        final = simulate(basis, replace(cfg, control=pert)).final_state.coeffs
+        want = sobolev_norm(basis, spectral_field(basis, final - base), s)
+        assert n == m and want > 1e-5
+        assert abs(err - want) <= 1e-12 * scale
+
+
+def test_weak_limit_batch_synthesizes_once_per_step(basis64, monkeypatch):
+    # the base run takes its step matrix and synthesizes only for its record
+    # at T; the three perturbed runs share one synthesis per step
+    cfg = bump_config(basis64, sigma=0, control=ControlSignal.piecewise_constant([0.3], 0.2),
+                      t_final=0.2, dt=2e-3)
+    calls = count_synthesis(monkeypatch)
+    weak_limit_experiment(basis64, cfg, [1, 4, 16], 1.0)
+    assert len(calls) == 100 + 1
+
+
+def test_weak_limit_refuses_bad_order_and_amplitude(basis32):
+    cfg = bump_config(basis32, sigma=0, t_final=0.05, dt=1e-2)
+    for s in (np.nan, np.inf, -1.0):
+        with pytest.raises(ConfigError, match="s must be finite"):
+            weak_limit_experiment(basis32, cfg, [1, 2], 1.0, s)
+    for amplitude in (np.nan, np.inf, -1.0):
+        with pytest.raises(ConfigError, match="amplitude must be finite"):
+            weak_limit_experiment(basis32, cfg, [1, 2], amplitude)
+
+
 def test_tail_profile_monotone_and_total(basis64):
     rng = np.random.default_rng(5)
     from conftest import random_spectral
@@ -209,12 +253,75 @@ def test_attainable_deterministic(basis64):
 
 
 def test_attainable_never_runs_past_t_final(basis32):
-    # T = 0.3 is not a multiple of dt = 0.007: seed 7 draws t* = 0.29865,
-    # which rounds to 43 steps, 0.301 > T, and must stop at T instead
+    # T = 0.3 is not a multiple of dt = 0.007, so every sample steps on the
+    # grid of simulate: 43 steps of T / 43.  Seed 7 draws t* = 0.29865, which
+    # rounds to step 43 = T; at dt = 0.007 it would have been 0.301 > T
     cfg = bump_config(basis32, sigma=0, t_final=0.3, dt=0.007)
     profs = attainable_ensemble(basis32, cfg, 2, 1.0, seed=7, k=0, beta=0.4)
     assert len(profs) == 2
     assert all(np.all(np.isfinite(p.masses)) for p in profs)
+
+
+def looped_attainable(basis, cfg, n_samples, control_norm, seed, k, beta, cutoffs, n_segments):
+    """attainable_ensemble as one simulate per sample, on the step grid of simulate(cfg)."""
+    n_steps, dt, _ = _snap_records(cfg)
+    rng = np.random.default_rng(seed)
+    stops, masses = [], []
+    for _ in range(n_samples):
+        u = draw_control(rng, cfg.t_final, control_norm, n_segments)
+        stops.append(min(int(round(rng.uniform(0.0, cfg.t_final) / dt)), n_steps))
+        if stops[-1] == 0:
+            masses.append(np.zeros(len(cutoffs)))
+            continue
+        t = min(stops[-1] * dt, cfg.t_final)
+        traj = simulate(basis, replace(cfg, control=u, t_final=t, dt=dt, record_times=(t,)))
+        res = traj.final_state.coeffs - free_propagate(basis, traj.psi0, t).coeffs
+        masses.append(spectral_tail_profile(basis, spectral_field(basis, res), k + beta, cutoffs).masses)
+    return stops, masses
+
+
+def test_attainable_matches_looped_simulate(basis64):
+    # dt = 0.006 does not divide T = 0.1: the grid is 17 steps of T / 17.  Seed
+    # 5 draws a sample with no step, two that tie at one step, and one at T
+    cfg = bump_config(basis64, sigma=0, t_final=0.1, dt=0.006)
+    cutoffs = [0.0, 33.0, 65.0, 97.0]
+    got = attainable_ensemble(basis64, cfg, 6, 1.0, seed=5, k=0, beta=0.4, cutoffs=cutoffs,
+                              n_segments=4)
+    stops, want = looped_attainable(basis64, cfg, 6, 1.0, 5, 0, 0.4, cutoffs, 4)
+    assert stops == [1, 17, 15, 1, 12, 0]
+    for prof, ref, stop in zip(got, want, stops):
+        if stop == 0:
+            assert np.all(prof.masses == 0.0)
+            continue
+        # cutoff 0 holds the whole H^0.4 mass of the residual
+        assert ref[0] > 0.0
+        assert np.all(np.abs(prof.masses - ref) <= 1e-12 * ref[0])
+
+
+def test_attainable_checks_its_inputs(basis32):
+    cfg = bump_config(basis32, sigma=0, t_final=0.05, dt=1e-2)
+    for kw, key in [
+        ({"cutoffs": []}, "cutoffs"),
+        ({"cutoffs": [np.nan, 5.0]}, "cutoffs"),
+        ({"cutoffs": [5.0, np.inf]}, "cutoffs"),
+        ({"control_norm": np.nan}, "control_norm"),
+        ({"control_norm": np.inf}, "control_norm"),
+        ({"control_norm": -1.0}, "control_norm"),
+    ]:
+        args = {"n_samples": 2, "control_norm": 1.0, "seed": 0, "k": 0, "beta": 0.4} | kw
+        with pytest.raises(ConfigError, match=key):
+            attainable_ensemble(basis32, cfg, **args)
+
+
+def test_attainable_picard_runs_members_one_by_one():
+    # fixed-point windows carry no member axis; each sample is its own Picard run
+    basis = build_basis(1, 16)
+    cfg = bump_config(basis, sigma=0, t_final=0.1, dt=5e-3, integrator="picard", picard_window=0.05)
+    got = attainable_ensemble(basis, cfg, 3, 1.0, seed=2, k=0, beta=0.4, cutoffs=[0.0, 9.0])
+    _, want = looped_attainable(basis, cfg, 3, 1.0, 2, 0, 0.4, [0.0, 9.0], 16)
+    for prof, ref in zip(got, want):
+        assert ref[0] > 0.0
+        assert np.all(np.abs(prof.masses - ref) <= 1e-12 * ref[0])
 
 
 def test_attainable_rejects_nonlinear(basis64):

@@ -183,6 +183,23 @@ def test_step_work_arrays_match_fresh(dim, n_modes, sigma):
     assert stepper.work
 
 
+@pytest.mark.parametrize("dim, n_modes", [(1, 32), (2, 12), (3, 8)])
+@pytest.mark.parametrize("sigma", [-1, 0, 1])
+def test_step_member_axis_matches_single_steps(dim, n_modes, sigma):
+    # a trailing member axis pairs column b with integral u[b]
+    basis = build_basis(dim, n_modes)
+    cfg = bump_config(basis, sigma=sigma, t_final=0.01, dt=1e-3)
+    stepper = dynamics._StrangStepper(basis, cfg, cfg.dt)
+    rng = np.random.default_rng(4)
+    coeffs = np.stack([random_spectral(basis, rng, decay=1.5).coeffs for _ in range(3)], axis=-1)
+    u = np.array([0.3, -0.7, 0.0])
+    got = stepper.step(coeffs, u)
+    assert got.shape == coeffs.shape
+    for b in range(3):
+        want = stepper.step(coeffs[..., b].copy(), u[b])
+        assert np.linalg.norm(got[..., b] - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_divergence_guard(basis64, monkeypatch):
     monkeypatch.setattr(dynamics, "H1_DIVERGENCE_LIMIT", 0.5)
     cfg = bump_config(basis64, sigma=0)
@@ -442,3 +459,60 @@ def test_nan_state_trips_guard_on_linear_kernels(basis64, monkeypatch, control):
     with pytest.raises(SimulationDiverged) as err:
         simulate(basis64, cfg)
     assert err.value.t == pytest.approx(2e-3)
+
+
+def test_member_march_nan_trips_at_its_first_step(basis64, monkeypatch):
+    # member 1 is NaN but takes no step, so it never meets the guard; member 3
+    # is NaN and trips at step 1, before member 0, which is finite, stops
+    cfg = bump_config(basis64, sigma=0, t_final=KERNEL_T, dt=2e-3, record_times=(KERNEL_T,))
+    psi0 = make_initial_state(basis64, cfg.initial_state).coeffs
+    nan = np.full_like(psi0, np.nan)
+    coeffs = np.stack([psi0, nan, psi0, nan], axis=-1)
+    controls = [KERNEL_CONTROLS[name] for name in ("sampled", "zero", "sinusoid_perturbed", "sampled")]
+    with pytest.raises(SimulationDiverged) as batched:
+        dynamics._march_members(basis64, cfg, coeffs, controls, [40, 0, 30, 10], 2e-3)
+
+    monkeypatch.setattr(dynamics, "make_initial_state", lambda basis, spec: dynamics.SpectralField(1, 64, nan))
+    with pytest.raises(SimulationDiverged) as looped:
+        simulate(basis64, replace(cfg, control=controls[3], t_final=10 * 2e-3, record_times=(10 * 2e-3,)))
+    assert batched.value.t == looped.value.t == pytest.approx(2e-3)
+
+
+def test_member_march_guard_reports_lowest_member_on_ties(basis64, monkeypatch):
+    # members 1 and 2 pass the lowered limit at step 1; member 1 is reported,
+    # with the (t, H1) its own simulate reports, though it stops later
+    cfg = bump_config(basis64, sigma=0, t_final=KERNEL_T, dt=2e-3, record_times=(KERNEL_T,))
+    psi0 = make_initial_state(basis64, cfg.initial_state).coeffs
+    h1 = np.sqrt(np.vdot(psi0, basis64.lam * psi0).real)
+    monkeypatch.setattr(dynamics, "H1_DIVERGENCE_LIMIT", 1.5 * h1)
+    scales = (1.0, 3.0, 2.0)
+    coeffs = np.stack([f * psi0 for f in scales], axis=-1)
+    u = KERNEL_CONTROLS["sinusoid_perturbed"]
+    with pytest.raises(SimulationDiverged) as batched:
+        dynamics._march_members(basis64, cfg, coeffs, [u] * 3, [50, 20, 5], 2e-3)
+
+    start = dynamics.SpectralField(1, 64, scales[1] * psi0)
+    monkeypatch.setattr(dynamics, "make_initial_state", lambda basis, spec: start)
+    with pytest.raises(SimulationDiverged) as looped:
+        simulate(basis64, replace(cfg, control=u, t_final=20 * 2e-3, record_times=(20 * 2e-3,)))
+    assert batched.value.t == looped.value.t == pytest.approx(2e-3)
+    assert batched.value.h1 == pytest.approx(looped.value.h1, rel=1e-12)
+    assert batched.value.h1 == pytest.approx(scales[1] * h1, rel=1e-3)
+
+
+def test_member_march_runs_step_matrix_members_alone(basis64, monkeypatch):
+    # member 0 (zero control, 100 steps) is one step-matrix run and marches
+    # alone without synthesis; member 2 (zero control, 10 steps, fewer than
+    # N / 2 = 32) batches with member 1, one synthesis per step to step 60
+    cfg = bump_config(basis64, sigma=0, t_final=KERNEL_T, dt=2e-3, record_times=(KERNEL_T,))
+    psi0 = make_initial_state(basis64, cfg.initial_state).coeffs
+    controls = [KERNEL_CONTROLS[name] for name in ("zero", "sinusoid_perturbed", "zero")]
+    stops = [100, 60, 10]
+    calls = count_synthesis(monkeypatch)
+    finals = dynamics._march_members(basis64, cfg, np.stack([psi0] * 3, axis=-1), controls, stops, 2e-3)
+    assert len(calls) == 60
+    monkeypatch.undo()
+    for b, (u, stop) in enumerate(zip(controls, stops)):
+        t = stop * 2e-3
+        want = simulate(basis64, replace(cfg, control=u, t_final=t, record_times=(t,))).final_state.coeffs
+        assert np.linalg.norm(finals[:, b] - want) <= 1e-12

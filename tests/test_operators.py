@@ -106,6 +106,26 @@ def test_wsp_norm_reduces_to_known_norms(basis64):
     assert wsp_norm(basis64, basis_state(basis64, 1), 2.0, 2.0) == pytest.approx(3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sobolev_orders_must_be_finite(basis64, bad):
+    f = basis_state(basis64, 2)
+    with pytest.raises(ConfigError, match="s must be finite"):
+        sobolev_norm(basis64, f, bad)
+    with pytest.raises(ConfigError, match="s must be finite"):
+        wsp_norm(basis64, f, bad, 2.0)
+
+
+def test_lp_order_nan_is_refused_and_inf_is_the_max(basis64):
+    f = basis_state(basis64, 2)
+    g = to_grid(basis64, f)
+    for p in (np.nan, -np.inf):
+        with pytest.raises(ConfigError, match="p >= 1"):
+            lp_norm(basis64, g, p)
+        with pytest.raises(ConfigError, match="p >= 1"):
+            wsp_norm(basis64, f, 1.0, p)
+    assert lp_norm(basis64, g, np.inf) == np.max(np.abs(g.values))
+
+
 def test_free_propagate_phases(basis64):
     out = free_propagate(basis64, basis_state(basis64, 0), np.pi)
     assert abs(out.coeffs[0] - (-1.0)) <= 1e-14
