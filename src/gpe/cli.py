@@ -1,17 +1,21 @@
 """Batch front end: JSON configs in, CSV/JSONL diagnostics out.
 
-The library is the one range validator: every out-of-range value, and
-every set of inputs that do not fit together, raises gpe.ConfigError
-there.  This module checks only the JSON layer (allowed and required
-keys, and each field's JSON type), hands the values to the library, and
-reports a ConfigError from either layer with the field it names.
+The library is the one range validator and owns every default: every
+out-of-range value, and every set of inputs that do not fit together,
+raises gpe.ConfigError there, and a key a config leaves out takes the
+default of the library parameter it feeds.  This module checks only the
+JSON layer: each block's allowed and required keys, each field's JSON
+type, and that a number fits a double and an integer fits int64.  Each
+key is named once, next to its reader.  Each experiment is one library
+call, and a ConfigError from either layer is reported with the field it
+names.
 
-Exit codes: 0 success, 2 config validation failure, 3 numerical
-divergence or Picard non-contraction.  Every experiment computes all its
-rows before it writes a file, so a failed run writes nothing.  Identical
-(config, seed) pairs produce byte-identical output files; numbers are
-serialized with 17 significant digits so CSV values round-trip doubles
-exactly.
+Exit codes: 0 success, 2 config validation failure (including an output
+path that cannot be written), 3 numerical divergence or Picard
+non-contraction.  Every experiment computes all its rows before it writes
+a file, so a failed run writes nothing.  Identical (config, seed) pairs
+produce byte-identical output files; numbers are serialized with 17
+significant digits so CSV values round-trip doubles exactly.
 """
 
 from __future__ import annotations
@@ -29,12 +33,9 @@ import numpy as np
 from .controls import ControlSignal, make_potential
 from .diagnostics import (
     attainable_ensemble,
-    check_smoothing_run,
     convergence_errors,
-    holder_quotient,
     kato_scan,
-    residual_states,
-    smoothing_residual_series,
+    smoothing_experiment,
     weak_limit_experiment,
 )
 from .dynamics import (
@@ -61,151 +62,160 @@ def _at(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _check_keys(obj: dict, allowed: set, required: set, path: str) -> None:
+def _read(obj, path: str, required, /, **readers) -> dict:
+    """The keys of the block obj that it gives, each read by its reader.
+
+    Refuses a key with no reader and a missing required key.  A reader
+    is read(value, where) with where the key's config path.
+    """
     _require(isinstance(obj, dict), f"{path}: expected an object")
     for key in obj:
-        _require(key in allowed, f"{path}.{key}: unknown key")
+        _require(key in readers, f"{path}.{key}: unknown key")
     for key in required:
         _require(key in obj, f"{path}.{key}: missing required key")
+    return {key: read(obj[key], f"{path}.{key}") for key, read in readers.items() if key in obj}
 
 
-def _number(obj, key, path: str) -> float:
-    v = obj[key]
-    _require(isinstance(v, (int, float)) and not isinstance(v, bool), f"{path}.{key}: expected a number")
-    _require(math.isfinite(v), f"{path}.{key}: must be finite")
-    return float(v)
-
-
-def _integer(obj, key, path: str) -> int:
-    v = obj[key]
-    _require(isinstance(v, int) and not isinstance(v, bool), f"{path}.{key}: expected an integer")
+def _raw(v, where: str):
+    """A nested block, passed on to its own _read."""
     return v
 
 
-def _number_list(obj: dict, key: str, path: str, read=_number) -> list:
+def _string(v, where: str) -> str:
+    _require(isinstance(v, str), f"{where}: expected a string")
+    return v
+
+
+def _number(v, where: str) -> float:
+    _require(isinstance(v, (int, float)) and not isinstance(v, bool), f"{where}: expected a number")
+    try:
+        v = float(v)
+    except OverflowError:  # an integer literal beyond the double range
+        raise ConfigError(f"{where}: outside the double range") from None
+    _require(math.isfinite(v), f"{where}: must be finite")
+    return v
+
+
+def _integer(v, where: str) -> int:
+    _require(isinstance(v, int) and not isinstance(v, bool), f"{where}: expected an integer")
+    _require(-2**63 <= v < 2**63, f"{where}: outside the int64 range")
+    return v
+
+
+def _number_list(v, where: str, read=_number) -> tuple:
     """A JSON list read element by element with read (_number or _integer)."""
-    v = obj[key]
-    _require(isinstance(v, list), f"{path}.{key}: expected a list")
-    return [read(v, i, f"{path}.{key}") for i in range(len(v))]
+    _require(isinstance(v, list), f"{where}: expected a list")
+    return tuple(read(x, f"{where}.{i}") for i, x in enumerate(v))
 
 
-def _number_array(obj: dict, key: str, path: str) -> np.ndarray:
+def _integer_list(v, where: str) -> tuple:
+    return _number_list(v, where, _integer)
+
+
+def _number_array(v, where: str) -> np.ndarray:
     """A JSON array of finite numbers, nested to any depth, as floats."""
     try:
-        v = np.asarray(obj[key])
+        v = np.asarray(v)
     except ValueError:  # ragged nesting
         v = np.asarray(None)
-    _require(v.dtype.kind in "iuf" and np.all(np.isfinite(v)), f"{path}.{key}: expected finite numbers")
+    _require(v.dtype.kind in "iuf" and np.all(np.isfinite(v)), f"{where}: expected finite numbers")
     return v.astype(float)
 
 
-def _optional(obj: dict, key: str, path: str, read, default):
-    return read(obj, key, path) if key in obj else default
+def _mode(v, where: str) -> tuple:
+    """An eigenstate index: an integer, or a list of them, one per axis."""
+    return _integer_list(v, where) if isinstance(v, list) else (_integer(v, where),)
 
 
-def _build_control(spec: dict, duration: float, path: str) -> ControlSignal:
-    _check_keys(spec, {"kind", "values", "base", "amplitude", "n"}, {"kind"}, path)
-    kind = spec["kind"]
-    if kind == "zero":
-        _check_keys(spec, {"kind"}, {"kind"}, path)
-        return ControlSignal.zero(duration)
-    if kind in ("piecewise_constant", "sampled"):
-        _check_keys(spec, {"kind", "values"}, {"kind", "values"}, path)
-        values = _number_list(spec, "values", path)
-        with _at(path):
-            if kind == "sampled":
-                return ControlSignal.sampled(values, duration)
-            return ControlSignal.piecewise_constant(values, duration)
-    if kind == "sinusoid_perturbed":
-        _check_keys(spec, {"kind", "base", "amplitude", "n"}, {"kind", "base", "amplitude", "n"}, path)
-        base = _build_control(spec["base"], duration, f"{path}.base")
-        amp = _number(spec, "amplitude", path)
-        n = _integer(spec, "n", path)
-        with _at(path):
-            return ControlSignal.sinusoid_perturbed(base, amp, n)
-    raise ConfigError(f"{path}.kind: unknown control kind {kind!r}")
+def _complex(v, where: str) -> complex:
+    """A number, or a list [re, im]."""
+    if not isinstance(v, list):
+        return complex(_number(v, where))
+    re_im = _number_list(v, where)
+    _require(len(re_im) == 2, f"{where}: expected [re, im]")
+    return complex(*re_im)
 
 
-def _build_initial(spec: dict, seed_shift: int, path: str) -> InitialState:
-    _check_keys(spec, {"kind", "k", "displacement", "decay", "seed"}, {"kind"}, path)
-    kind = spec["kind"]
-    fields = {}
-    if kind == "eigenstate":
-        _check_keys(spec, {"kind", "k"}, {"kind", "k"}, path)
-        if isinstance(spec["k"], list):
-            fields["mode"] = tuple(_number_list(spec, "k", path, _integer))
-        else:
-            fields["mode"] = (_integer(spec, "k", path),)
-    elif kind == "coherent":
-        _check_keys(spec, {"kind", "displacement"}, {"kind", "displacement"}, path)
-        if isinstance(spec["displacement"], list):
-            re_im = _number_list(spec, "displacement", path)
-            _require(len(re_im) == 2, f"{path}.displacement: expected [re, im]")
-            fields["displacement"] = complex(re_im[0], re_im[1])
-        else:
-            fields["displacement"] = complex(_number(spec, "displacement", path))
-    elif kind == "random_decay":
-        _check_keys(spec, {"kind", "decay", "seed"}, {"kind", "decay", "seed"}, path)
-        fields["decay"] = _number(spec, "decay", path)
-        fields["seed"] = _integer(spec, "seed", path) + seed_shift
-    with _at(path):
-        return InitialState(kind, **fields)
+def _read_kind(spec, path: str, kinds: dict) -> dict:
+    """A block {"kind": k, ...} whose other keys, all required, are those kinds[k] reads."""
+    _require(isinstance(spec, dict), f"{path}: expected an object")
+    _require("kind" in spec, f"{path}.kind: missing required key")
+    kind = _string(spec["kind"], f"{path}.kind")
+    _require(kind in kinds, f"{path}.kind: unknown kind {kind!r}")
+    return _read(spec, path, ("kind", *kinds[kind]), kind=_string, **kinds[kind])
 
 
-def _build_potential(spec: dict, basis, path: str):
-    _check_keys(spec, {"kind", "amplitude", "width", "center", "values"}, {"kind"}, path)
-    kwargs = {key: _number(spec, key, path) for key in ("amplitude", "width", "center") if key in spec}
-    if "values" in spec:
-        kwargs["values"] = _number_array(spec, "values", path)
-    with _at(path):
-        return make_potential(basis, spec["kind"], **kwargs)
-
-
-_SIM_REQUIRED = {"dim", "n_modes", "sigma", "T", "dt", "initial_state", "potential", "control"}
-_SIM_KEYS = _SIM_REQUIRED | {
-    "quad_factor", "record_times", "n_records", "sobolev_s", "residual_k",
-    "residual_beta", "integrator", "picard_tol", "picard_max_iter", "picard_window",
+_CONTROL_KINDS = {
+    "zero": {},
+    "piecewise_constant": {"values": _number_list},
+    "sampled": {"values": _number_list},
+    "sinusoid_perturbed": {"base": _raw, "amplitude": _number, "n": _integer},
 }
+
+
+def _build_control(spec, duration: float, path: str) -> ControlSignal:
+    f = _read_kind(spec, path, _CONTROL_KINDS)
+    kind = f["kind"]
+    if kind == "sinusoid_perturbed":
+        base = _build_control(f["base"], duration, f"{path}.base")
+        with _at(path):
+            return ControlSignal.sinusoid_perturbed(base, f["amplitude"], f["n"])
+    with _at(path):
+        if kind == "zero":
+            return ControlSignal.zero(duration)
+        if kind == "sampled":
+            return ControlSignal.sampled(f["values"], duration)
+        return ControlSignal.piecewise_constant(f["values"], duration)
+
+
+_INITIAL_KINDS = {
+    "eigenstate": {"k": _mode},
+    "coherent": {"displacement": _complex},
+    "random_decay": {"decay": _number, "seed": _integer},
+}
+
+
+def _build_initial(spec, seed_shift: int, path: str) -> InitialState:
+    f = _read_kind(spec, path, _INITIAL_KINDS)
+    if "k" in f:
+        f["mode"] = f.pop("k")
+    if "seed" in f:
+        f["seed"] += seed_shift
+    with _at(path):
+        return InitialState(**f)
+
+
+def _build_potential(spec, basis, path: str):
+    f = _read(spec, path, ("kind",), kind=_string, amplitude=_number, width=_number,
+              center=_number, values=_number_array)
+    with _at(path):
+        return make_potential(basis, **f)
 
 
 def build_simulation(spec: dict, path: str = "sim", seed_shift: int = 0):
     """Read a sim block and build (basis, SimConfig), checked by the library."""
-    _check_keys(spec, _SIM_KEYS, _SIM_REQUIRED, path)
-    dim = _integer(spec, "dim", path)
-    n_modes = _integer(spec, "n_modes", path)
-    quad_factor = _optional(spec, "quad_factor", path, _integer, 2)
-    t_final = _number(spec, "T", path)
-    with _at(path):
-        basis = build_basis(dim, n_modes, quad_factor)
-
-    if "record_times" in spec:
-        _require("n_records" not in spec, f"{path}.n_records: give either record_times or n_records")
-        record_times = tuple(_number_list(spec, "record_times", path))
-        _require(record_times, f"{path}.record_times: expected a nonempty list")
-    else:
-        n_rec = _optional(spec, "n_records", path, _integer, 2)
-        _require(n_rec >= 1, f"{path}.n_records: must be >= 1")
-        record_times = tuple(np.linspace(0.0, t_final, max(n_rec, 2)))
-
-    cfg = SimConfig(
-        dim=dim,
-        n_modes=n_modes,
-        sigma=_integer(spec, "sigma", path),
-        t_final=t_final,
-        dt=_number(spec, "dt", path),
-        initial_state=_build_initial(spec["initial_state"], seed_shift, f"{path}.initial_state"),
-        potential=_build_potential(spec["potential"], basis, f"{path}.potential"),
-        control=_build_control(spec["control"], t_final, f"{path}.control"),
-        quad_factor=quad_factor,
-        record_times=record_times,
-        sobolev_s=tuple(_optional(spec, "sobolev_s", path, _number_list, (0.0, 1.0, 2.0))),
-        residual_k=_optional(spec, "residual_k", path, _integer, 0),
-        residual_beta=_optional(spec, "residual_beta", path, _number, 0.4),
-        integrator=spec.get("integrator", "strang"),
-        picard_tol=_optional(spec, "picard_tol", path, _number, 1e-10),
-        picard_max_iter=_optional(spec, "picard_max_iter", path, _integer, 60),
-        picard_window=_optional(spec, "picard_window", path, _number, 0.1),
+    f = _read(
+        spec, path, ("dim", "n_modes", "sigma", "T", "dt", "initial_state", "potential", "control"),
+        dim=_integer, n_modes=_integer, quad_factor=_integer, sigma=_integer, T=_number, dt=_number,
+        initial_state=_raw, potential=_raw, control=_raw, record_times=_number_list,
+        n_records=_integer, sobolev_s=_number_list, residual_k=_integer, residual_beta=_number,
+        integrator=_string, picard_tol=_number, picard_max_iter=_integer, picard_window=_number,
     )
+    f["t_final"] = t_final = f.pop("T")
+    grid = {key: f[key] for key in ("dim", "n_modes", "quad_factor") if key in f}
+    with _at(path):
+        basis = build_basis(**grid)
+    if "record_times" in f:
+        _require("n_records" not in f, f"{path}.n_records: give either record_times or n_records")
+        _require(f["record_times"], f"{path}.record_times: expected a nonempty list")
+    elif "n_records" in f:
+        n_rec = f.pop("n_records")
+        _require(n_rec >= 1, f"{path}.n_records: must be >= 1")
+        f["record_times"] = tuple(np.linspace(0.0, t_final, max(n_rec, 2)))
+    f["initial_state"] = _build_initial(f["initial_state"], seed_shift, f"{path}.initial_state")
+    f["potential"] = _build_potential(f["potential"], basis, f"{path}.potential")
+    f["control"] = _build_control(f["control"], t_final, f"{path}.control")
+    cfg = SimConfig(**f)
     with _at(path):
         cfg.validate(basis)
     return basis, cfg
@@ -253,49 +263,31 @@ def _trajectory_records(traj) -> list[dict]:
     return rows
 
 
-def _run_simulate(config: dict, seed: int) -> dict:
-    basis, cfg = build_simulation(config["sim"], seed_shift=seed)
+def _run_simulate(sim, diag, seed: int) -> dict:
+    basis, cfg = build_simulation(sim, seed_shift=seed)
     return {"trajectory": _trajectory_records(simulate(basis, cfg))}
 
 
-def _run_convergence(config: dict, seed: int) -> dict:
-    diag = config.get("diagnostic", {})
-    _check_keys(diag, {"dts", "ref_refine"}, {"dts"}, "diagnostic")
-    dts = _number_list(diag, "dts", "diagnostic")
-    refine = _optional(diag, "ref_refine", "diagnostic", _integer, 16)
-    basis, cfg = build_simulation(config["sim"], seed_shift=seed)
+def _run_convergence(sim, diag, seed: int) -> dict:
+    diag = _read(diag, "diagnostic", ("dts",), dts=_number_list, ref_refine=_integer)
+    basis, cfg = build_simulation(sim, seed_shift=seed)
     with _at("diagnostic"):
-        rows = convergence_errors(basis, cfg, dts, refine)
+        rows = convergence_errors(basis, cfg, **diag)
     return {"convergence": [{"dt": dt, "error": err} for dt, err in rows]}
 
 
-def _run_kato_scan(config: dict, seed: int) -> dict:
-    diag = config.get("diagnostic", {})
-    allowed = {"n_modes", "quad_factor", "beta", "k_max", "window", "n_time"}
-    _check_keys(diag, allowed, {"beta", "k_max"}, "diagnostic")
-    beta = _number(diag, "beta", "diagnostic")
-    k_max = _integer(diag, "k_max", "diagnostic")
-    # at least two modes, so that a k_max below 1 reaches kato_scan's check
-    n_modes = _optional(diag, "n_modes", "diagnostic", _integer, max(k_max + 1, 2))
-    window = _optional(diag, "window", "diagnostic", _number_list, [-2.0 * np.pi, 2.0 * np.pi])
-    n_time = _optional(diag, "n_time", "diagnostic", _integer, 256)
-    qf = _optional(diag, "quad_factor", "diagnostic", _integer, 2)
+def _run_kato_scan(sim, diag, seed: int) -> dict:
+    diag = _read(diag, "diagnostic", ("beta", "k_max"), beta=_number, k_max=_integer,
+                 n_modes=_integer, quad_factor=_integer, window=_number_list, n_time=_integer)
     with _at("diagnostic"):
-        points = kato_scan(build_basis(1, n_modes, qf), beta, k_max, window, n_time)
+        points = kato_scan(**diag)
     return {"kato": [dict(zip(("k", "lambda", "kato", "sobolev_2beta"), p)) for p in points]}
 
 
-def _run_smoothing(config: dict, seed: int) -> dict:
-    diag = config.get("diagnostic", {})
-    _check_keys(diag, {"k", "beta", "alpha"}, set(), "diagnostic")
-    k = _optional(diag, "k", "diagnostic", _integer, 0)
-    beta = _optional(diag, "beta", "diagnostic", _number, 0.4)
-    alpha = _optional(diag, "alpha", "diagnostic", _number, 0.25)
-    basis, cfg = build_simulation(config["sim"], seed_shift=seed)
-    check_smoothing_run(cfg, k, beta, alpha)
-    traj = simulate(basis, cfg)
-    series = smoothing_residual_series(traj, basis, k, beta)
-    est = holder_quotient(residual_states(traj, basis), basis, k + beta, alpha, min_dt=traj.dt)
+def _run_smoothing(sim, diag, seed: int) -> dict:
+    diag = _read(diag, "diagnostic", (), k=_integer, beta=_number, alpha=_number)
+    basis, cfg = build_simulation(sim, seed_shift=seed)
+    series, est = smoothing_experiment(basis, cfg, **diag)
     return {
         "residual": [{"t": t, "residual": r} for t, r in series],
         "holder": [{
@@ -306,32 +298,19 @@ def _run_smoothing(config: dict, seed: int) -> dict:
     }
 
 
-def _run_weak_limit(config: dict, seed: int) -> dict:
-    diag = config.get("diagnostic", {})
-    _check_keys(diag, {"n_list", "amplitude", "s"}, {"n_list"}, "diagnostic")
-    n_list = _number_list(diag, "n_list", "diagnostic", _integer)
-    amp = _optional(diag, "amplitude", "diagnostic", _number, 1.0)
-    s = _optional(diag, "s", "diagnostic", _number, 0.0)
-    basis, cfg = build_simulation(config["sim"], seed_shift=seed)
-    errs = weak_limit_experiment(basis, cfg, n_list, amp, s)
+def _run_weak_limit(sim, diag, seed: int) -> dict:
+    diag = _read(diag, "diagnostic", ("n_list",), n_list=_integer_list, amplitude=_number, s=_number)
+    basis, cfg = build_simulation(sim, seed_shift=seed)
+    errs = weak_limit_experiment(basis, cfg, **diag)
     return {"weak_limit": [{"n": n, "err": e} for n, e in errs]}
 
 
-def _run_attainable(config: dict, seed: int) -> dict:
-    diag = config.get("diagnostic", {})
-    allowed = {"n_samples", "control_norm", "n_segments", "k", "beta", "cutoffs"}
-    _check_keys(diag, allowed, {"n_samples", "control_norm"}, "diagnostic")
-    n_samples = _integer(diag, "n_samples", "diagnostic")
-    control_norm = _number(diag, "control_norm", "diagnostic")
-    n_segments = _optional(diag, "n_segments", "diagnostic", _integer, 16)
-    k = _optional(diag, "k", "diagnostic", _integer, 0)
-    beta = _optional(diag, "beta", "diagnostic", _number, 0.4)
-    cutoffs = _optional(diag, "cutoffs", "diagnostic", _number_list, None)
-    basis, cfg = build_simulation(config["sim"], seed_shift=0)
-    profiles = attainable_ensemble(
-        basis, cfg, n_samples, control_norm, seed=seed, k=k, beta=beta,
-        cutoffs=cutoffs, n_segments=n_segments,
-    )
+def _run_attainable(sim, diag, seed: int) -> dict:
+    diag = _read(diag, "diagnostic", ("n_samples", "control_norm"), n_samples=_integer,
+                 control_norm=_number, n_segments=_integer, k=_integer, beta=_number,
+                 cutoffs=_number_list)
+    basis, cfg = build_simulation(sim)
+    profiles = attainable_ensemble(basis, cfg, seed=seed, **diag)
     rows = []
     for i, prof in enumerate(profiles):
         for c, m in zip(prof.cutoffs, prof.masses):
@@ -339,8 +318,9 @@ def _run_attainable(config: dict, seed: int) -> dict:
     return {"tails": rows}
 
 
-# Each runner returns {file suffix: rows}; run_config writes the files
-# only after every row is computed.
+# Each runner reads its diagnostic block, makes one library call and
+# returns {file suffix: rows}; run_config writes the files only after
+# every row is computed.
 _RUNNERS = {
     "simulate": _run_simulate,
     "convergence": _run_convergence,
@@ -350,30 +330,25 @@ _RUNNERS = {
     "attainable": _run_attainable,
 }
 
-_TOP_KEYS = {"experiment", "seed", "output", "sim", "diagnostic"}
-
 
 def run_config(config: dict, seed_override: int | None = None, output_override: str | None = None) -> int:
     """Validate and execute one experiment config; returns the exit code."""
     start = time.perf_counter()
     try:
-        _check_keys(config, _TOP_KEYS, {"experiment", "output"}, "config")
-        experiment = config["experiment"]
-        _require(isinstance(experiment, str) and experiment in _RUNNERS,
-                 f"config.experiment: unknown experiment {experiment!r}")
-        _require(experiment == "kato-scan" or "sim" in config, "config.sim: missing required key")
-        out = config["output"]
-        _check_keys(out, {"path", "format"}, {"path"}, "config.output")
+        top = _read(config, "config", ("experiment", "output"), experiment=_string, seed=_integer,
+                    output=_raw, sim=_raw, diagnostic=_raw)
+        experiment = top["experiment"]
+        _require(experiment in _RUNNERS, f"config.experiment: unknown experiment {experiment!r}")
+        _require(experiment == "kato-scan" or "sim" in top, "config.sim: missing required key")
+        out = _read(top["output"], "config.output", ("path",), path=_string, format=_string)
         fmt = out.get("format", "csv")
         _require(fmt in ("csv", "jsonl"), f"config.output.format: must be 'csv' or 'jsonl', got {fmt!r}")
         out_base = out["path"]
-        _require(isinstance(out_base, str) and out_base, "config.output.path: expected a nonempty string")
+        _require(out_base != "", "config.output.path: expected a nonempty string")
         if output_override is not None:
             out_base = os.path.join(output_override, os.path.basename(out_base))
-        seed = _optional(config, "seed", "config", _integer, 0)
-        if seed_override is not None:
-            seed = seed_override
-        tables = _RUNNERS[experiment](config, seed)
+        seed = top.get("seed", 0) if seed_override is None else seed_override
+        tables = _RUNNERS[experiment](top.get("sim"), top.get("diagnostic", {}), seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -383,10 +358,13 @@ def run_config(config: dict, seed_override: int | None = None, output_override: 
     except PicardDidNotConverge as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    paths = []
-    for name, rows in tables.items():
-        paths.append(f"{out_base}_{name}.{fmt}")
-        emit_records(rows, fmt, paths[-1])
+    paths = [f"{out_base}_{name}.{fmt}" for name in tables]
+    try:
+        for path, rows in zip(paths, tables.values()):
+            emit_records(rows, fmt, path)
+    except OSError as exc:
+        print(f"config error: config.output.path: cannot write {path}: {exc}", file=sys.stderr)
+        return 2
     wall = time.perf_counter() - start
     print(f"{experiment}: wrote {', '.join(paths)} in {wall:.2f} s")
     return 0
@@ -400,7 +378,7 @@ def run(config_path: str, seed_override: int | None = None, output_override: str
     except OSError as exc:
         print(f"config error: cannot read {config_path}: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer literal past int_max_str_digits
         print(f"config error: {config_path} is not valid JSON: {exc}", file=sys.stderr)
         return 2
     return run_config(config, seed_override, output_override)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .controls import NORM_ORDERS, ControlSignal
 from .dynamics import SimConfig, Trajectory, _march_members, _snap_records, energy, make_initial_state, simulate
-from .hermite import ConfigError, HermiteBasis, SpectralField, basis_state
+from .hermite import ConfigError, HermiteBasis, SpectralField, basis_state, build_basis
 from .operators import (
     _check_beta,
     _check_order,
@@ -98,16 +98,6 @@ def _check_holder(n_samples: int, alpha: float) -> None:
         raise ConfigError(f"record_times: the Holder quotient needs at least two samples, got {n_samples}")
 
 
-def check_smoothing_run(cfg: SimConfig, k: int, beta: float, alpha: float) -> None:
-    """Refuse, before simulate steps, a smoothing run that smoothing_residual_series
-    or holder_quotient would refuse afterwards: a sigma other than 0, a bad
-    k, beta or alpha, or fewer than two distinct record steps.  cfg is
-    validated first, since the record steps are snapped onto its step grid."""
-    cfg.validate()
-    _check_residual(cfg.sigma, k, beta)
-    _check_holder(len(_snap_records(cfg)[2]), alpha)
-
-
 def smoothing_residual_series(
     traj: Trajectory, basis: HermiteBasis, k: int, beta: float
 ) -> list[tuple[float, float]]:
@@ -154,6 +144,26 @@ def holder_quotient(
     return HolderEstimate(alpha, float(qsup), fitted)
 
 
+def smoothing_experiment(
+    basis: HermiteBasis, cfg: SimConfig, k: int = 0, beta: float = 0.4, alpha: float = 0.25
+) -> tuple[list[tuple[float, float]], HolderEstimate]:
+    """The smoothing run of cfg: its interaction-part series in H^(k+beta)
+    and the Holder quotient of those interaction parts in the same norm.
+
+    Refuses, before simulate steps, what smoothing_residual_series or
+    holder_quotient would refuse afterwards: a sigma other than 0, a bad k,
+    beta or alpha, or fewer than two distinct record steps.  cfg is
+    validated first, since the record steps are snapped onto its step grid.
+    """
+    cfg.validate(basis)
+    _check_residual(cfg.sigma, k, beta)
+    _check_holder(len(_snap_records(cfg)[2]), alpha)
+    traj = simulate(basis, cfg)
+    states = residual_states(traj, basis)
+    series = [(t, sobolev_norm(basis, st, k + beta)) for t, st in states]
+    return series, holder_quotient(states, basis, k + beta, alpha, min_dt=traj.dt)
+
+
 def strichartz_norm(
     traj: Trajectory,
     basis: HermiteBasis,
@@ -181,7 +191,7 @@ def weak_limit_experiment(
     basis: HermiteBasis,
     cfg: SimConfig,
     n_list: list[int],
-    amplitude: float,
+    amplitude: float = 1.0,
     s: float = 0.0,
 ) -> list[tuple[int, float]]:
     """Final-state distance under oscillatory control perturbations.
@@ -238,19 +248,30 @@ def convergence_errors(
     return out
 
 
-def kato_scan(basis: HermiteBasis, beta: float, k_max: int, t_window, n_time: int = 256) -> list[tuple]:
+def kato_scan(
+    beta: float,
+    k_max: int,
+    window=(-2.0 * math.pi, 2.0 * math.pi),
+    n_time: int = 256,
+    n_modes: Optional[int] = None,
+    quad_factor: int = 2,
+) -> list[tuple]:
     """(k, lambda_k, kato_functional, H^(2 beta) norm) of each 1D eigenstate k = 0 .. k_max.
 
-    Needs 1 <= k_max < n_modes.
+    The eigenstates live on a 1D basis of n_modes modes (default k_max + 1)
+    and quad_factor * n_modes nodes.  Needs 1 <= k_max < n_modes.
     """
     if k_max < 1:
         raise ConfigError(f"k_max must be >= 1, got {k_max}")
-    if not basis.n_modes > k_max:
-        raise ConfigError(f"n_modes = {basis.n_modes} must exceed k_max = {k_max}")
+    if n_modes is None:
+        n_modes = k_max + 1
+    if not n_modes > k_max:
+        raise ConfigError(f"n_modes = {n_modes} must exceed k_max = {k_max}")
+    basis = build_basis(1, n_modes, quad_factor)
     points = []
     for k in range(k_max + 1):
         phi = basis_state(basis, k)
-        val = kato_functional(basis, phi, beta, t_window, n_time)
+        val = kato_functional(basis, phi, beta, window, n_time)
         points.append((k, float(basis.lam[k]), val, sobolev_norm(basis, phi, 2.0 * beta)))
     return points
 
@@ -291,8 +312,8 @@ def attainable_ensemble(
     n_samples: int,
     control_norm: float,
     seed: int,
-    k: int,
-    beta: float,
+    k: int = 0,
+    beta: float = 0.4,
     cutoffs=None,
     n_segments: int = 16,
 ) -> list[TailProfile]:

@@ -1,11 +1,13 @@
+import copy
 import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import gpe.cli
+import gpe.diagnostics
 import gpe.dynamics as dynamics
 from gpe.cli import emit_records, main, run, run_config
 
@@ -104,6 +106,8 @@ def test_negative_dt_names_field(tmp_path, capsys):
         ("smoothing_duplicate_records", "record_times"),
         ("sobolev_negative", "sobolev_s"),
         ("record_out_of_range", "record_times"),
+        ("T_huge_integer", "T"),
+        ("n_samples_huge", "n_samples"),
     ],
 )
 def test_bad_config_names_key(tmp_path, capsys, fixture, key):
@@ -119,10 +123,98 @@ def test_smoothing_checks_before_simulate(tmp_path, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("simulate ran")
 
-    monkeypatch.setattr(gpe.cli, "simulate", no_run)
+    monkeypatch.setattr(gpe.diagnostics, "simulate", no_run)
     for fixture in ("smoothing_sigma_cubic", "smoothing_duplicate_records"):
         code = run(str(DATA / "bad_configs" / f"{fixture}.json"), output_override=str(tmp_path))
         assert code == 2
+
+
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    cfg = minimal_simulate(tmp_path, output={"path": str(tmp_path / "file" / "run")})
+    assert run_config(cfg) == 2
+    assert capsys.readouterr().err.startswith("config error: config.output.path: cannot write ")
+
+
+FUZZ_VALUES = (None, True, "x", 10**400, -10**400)
+
+
+def _value_paths(obj, prefix=()):
+    """The path of every value under the object obj that is not itself an object."""
+    if isinstance(obj, dict):
+        for key, v in obj.items():
+            yield from _value_paths(v, prefix + (key,))
+        return
+    yield prefix
+    if isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _value_paths(v, prefix + (i,))
+
+
+def test_fuzzed_example_configs_exit_cleanly(tmp_path):
+    # each leaf, list and list element of each example config, set to a
+    # value of the wrong JSON type or beyond the double and int64 ranges
+    escapes = []
+    for cfg_path in sorted(CONFIGS.glob("*.json")):
+        base = json.loads(cfg_path.read_text())
+        for path in _value_paths(base):
+            for value in FUZZ_VALUES:
+                cfg = copy.deepcopy(base)
+                node = cfg
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                try:
+                    code = run_config(cfg, output_override=str(tmp_path))
+                except Exception as exc:
+                    code = repr(exc)[:80]
+                if code not in (0, 2, 3):
+                    escapes.append((cfg_path.name, path, FUZZ_VALUES.index(value), code))
+    assert escapes == []
+
+
+SIM_MINIMAL = {
+    "dim": 1, "n_modes": 16, "sigma": 0, "T": 0.1, "dt": 0.01,
+    "initial_state": {"kind": "eigenstate", "k": 1},
+    "potential": {"kind": "gaussian_bump"},
+    "control": {"kind": "piecewise_constant", "values": [1.0, -0.5]},
+}
+# The defaults README documents for the optional keys, spelled out.
+SIM_DEFAULTS = {
+    "quad_factor": 2, "record_times": [0.0, 0.1], "sobolev_s": [0, 1, 2], "residual_k": 0,
+    "residual_beta": 0.4, "integrator": "strang", "picard_tol": 1e-10, "picard_max_iter": 60,
+    "picard_window": 0.1,
+}
+POTENTIAL_DEFAULTS = {"amplitude": 1.0, "width": 1.0, "center": 0.0}
+# experiment: (its required diagnostic keys, the documented defaults of the others)
+DIAGNOSTICS = {
+    "simulate": ({}, {}),
+    "convergence": ({"dts": [0.02, 0.01]}, {"ref_refine": 16}),
+    "kato-scan": ({"beta": 0.4, "k_max": 4},
+                  {"n_modes": 5, "quad_factor": 2, "window": [-2 * math.pi, 2 * math.pi], "n_time": 256}),
+    "smoothing": ({}, {"k": 0, "beta": 0.4, "alpha": 0.25}),
+    "weak-limit": ({"n_list": [1, 2]}, {"amplitude": 1.0, "s": 0.0}),
+    "attainable": ({"n_samples": 2, "control_norm": 1.0},
+                   {"n_segments": 16, "k": 0, "beta": 0.4, "cutoffs": [9.0, 17.0, 25.0]}),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(DIAGNOSTICS))
+def test_omitted_keys_take_documented_defaults(tmp_path, experiment):
+    required, defaults = DIAGNOSTICS[experiment]
+    minimal = {"experiment": experiment, "output": {"path": "run"}, "diagnostic": required}
+    explicit = {"experiment": experiment, "seed": 0, "output": {"path": "run", "format": "csv"},
+                "diagnostic": {**required, **defaults}}
+    if experiment != "kato-scan":
+        minimal["sim"] = SIM_MINIMAL
+        potential = {**SIM_MINIMAL["potential"], **POTENTIAL_DEFAULTS}
+        explicit["sim"] = {**SIM_MINIMAL, **SIM_DEFAULTS, "potential": potential}
+    assert run_config(minimal, output_override=str(tmp_path / "minimal")) == 0
+    assert run_config(explicit, output_override=str(tmp_path / "explicit")) == 0
+    files = sorted(os.listdir(tmp_path / "minimal"))
+    assert files and files == sorted(os.listdir(tmp_path / "explicit"))
+    for name in files:
+        assert (tmp_path / "minimal" / name).read_bytes() == (tmp_path / "explicit" / name).read_bytes()
 
 
 def test_unknown_key_rejected(tmp_path, capsys):

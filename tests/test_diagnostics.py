@@ -8,13 +8,13 @@ from gpe.dynamics import InitialState, SimConfig, Trajectory, TrajectoryRecord, 
 from gpe.diagnostics import (
     attainable_ensemble,
     calibrate_gronwall_constant,
-    check_smoothing_run,
     convergence_errors,
     draw_control,
     energy_bound_check,
     gronwall_check,
     holder_quotient,
     residual_states,
+    smoothing_experiment,
     smoothing_residual_series,
     spectral_tail_profile,
     strichartz_norm,
@@ -53,7 +53,7 @@ def test_smoothing_precheck_validates_config(basis64, dt):
     # the record steps are snapped onto the step grid, so dt is checked first
     cfg = bump_config(basis64, sigma=0, t_final=0.05, dt=dt)
     with pytest.raises(ConfigError, match="dt must be positive"):
-        check_smoothing_run(cfg, 0, 0.4, 0.5)
+        smoothing_experiment(basis64, cfg, 0, 0.4, 0.5)
 
 
 def test_holder_quotient_constant_series(basis64):
