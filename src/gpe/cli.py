@@ -4,7 +4,8 @@ The library is the one range validator and owns every default: every
 out-of-range value, and every set of inputs that do not fit together,
 raises gpe.ConfigError there, and a key a config leaves out takes the
 default of the library parameter it feeds.  This module checks only the
-JSON layer: each block's allowed and required keys, each field's JSON
+JSON layer: each block's allowed and required keys (a block that the
+experiment does not read must be absent or empty), each field's JSON
 type, and that a number fits a double and an integer fits int64.  Each
 key is named once, next to its reader.  Each experiment is one library
 call, and a ConfigError from either layer is reported with the field it
@@ -318,16 +319,16 @@ def _run_attainable(sim, diag, seed: int) -> dict:
     return {"tails": rows}
 
 
-# Each runner reads its diagnostic block, makes one library call and
-# returns {file suffix: rows}; run_config writes the files only after
-# every row is computed.
+# Each runner reads the config blocks named beside it, makes one library
+# call and returns {file suffix: rows}; run_config writes the files only
+# after every row is computed.
 _RUNNERS = {
-    "simulate": _run_simulate,
-    "convergence": _run_convergence,
-    "kato-scan": _run_kato_scan,
-    "smoothing": _run_smoothing,
-    "weak-limit": _run_weak_limit,
-    "attainable": _run_attainable,
+    "simulate": (_run_simulate, ("sim",)),
+    "convergence": (_run_convergence, ("sim", "diagnostic")),
+    "kato-scan": (_run_kato_scan, ("diagnostic",)),
+    "smoothing": (_run_smoothing, ("sim", "diagnostic")),
+    "weak-limit": (_run_weak_limit, ("sim", "diagnostic")),
+    "attainable": (_run_attainable, ("sim", "diagnostic")),
 }
 
 
@@ -339,7 +340,11 @@ def run_config(config: dict, seed_override: int | None = None, output_override: 
                     output=_raw, sim=_raw, diagnostic=_raw)
         experiment = top["experiment"]
         _require(experiment in _RUNNERS, f"config.experiment: unknown experiment {experiment!r}")
-        _require(experiment == "kato-scan" or "sim" in top, "config.sim: missing required key")
+        runner, blocks = _RUNNERS[experiment]
+        _require("sim" not in blocks or "sim" in top, "config.sim: missing required key")
+        for block in ("sim", "diagnostic"):
+            _require(block in blocks or top.get(block, {}) == {},
+                     f"config.{block}: experiment {experiment!r} reads no {block} block")
         out = _read(top["output"], "config.output", ("path",), path=_string, format=_string)
         fmt = out.get("format", "csv")
         _require(fmt in ("csv", "jsonl"), f"config.output.format: must be 'csv' or 'jsonl', got {fmt!r}")
@@ -348,7 +353,7 @@ def run_config(config: dict, seed_override: int | None = None, output_override: 
         if output_override is not None:
             out_base = os.path.join(output_override, os.path.basename(out_base))
         seed = top.get("seed", 0) if seed_override is None else seed_override
-        tables = _RUNNERS[experiment](top.get("sim"), top.get("diagnostic", {}), seed)
+        tables = runner(top.get("sim"), top.get("diagnostic", {}), seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

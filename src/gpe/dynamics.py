@@ -274,17 +274,23 @@ class _StrangStepper:
     def _step_matrix(self, u_int: float) -> np.ndarray:
         """The 1D linear step for integral u_int as an (N, N) matrix, half-phases folded in.
 
-        analysis_table diag(exp(-i K u_int)) herm_table.T as two real GEMMs
-        written into the real and imaginary parts of one complex array.
+        The multiplier matrix of exp(-i K u_int) as two real GEMMs written
+        into the real and imaginary parts of one complex array.
         """
         theta = -self.k_values * u_int
-        ht = self.basis.herm_table.T
         mat = np.empty((self.basis.n_modes,) * 2, dtype=complex)
-        np.matmul(self.basis.analysis_table, np.cos(theta)[:, None] * ht, out=mat.real)
-        np.matmul(self.basis.analysis_table, np.sin(theta)[:, None] * ht, out=mat.imag)
+        _multiplier_matrix(self.basis, np.cos(theta), out=mat.real)
+        _multiplier_matrix(self.basis, np.sin(theta), out=mat.imag)
         mat *= self.half_phase[:, None]
         mat *= self.half_phase
         return mat
+
+
+def _multiplier_matrix(basis: HermiteBasis, g: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """analysis_table diag(g) herm_table.T: the (N, N) matrix that acts on 1D
+    coefficients as synthesis, multiplication by the real grid values g,
+    then analysis."""
+    return np.matmul(basis.analysis_table, g[:, None] * basis.herm_table.T, out=out)
 
 
 def energy(basis: HermiteBasis, state: SpectralField) -> float:
@@ -467,12 +473,23 @@ def picard_solve(
              - i int_0^t u(s) e^{i(t-s)H} (K psi)(s) ds
              + i sigma int_0^t e^{i(t-s)H} (|psi|^2 psi)(s) ds
 
-    on a uniform s-grid of spacing cfg.dt, integrals by the composite
-    trapezoid rule, seeded with the free evolution.  t_final must be small
-    enough for the map to contract; callers restart in windows otherwise.
-    Successive iterates are compared in the sup-over-time L2 distance.
-    The window [t_offset, t_offset + t_final] must lie inside the control's
-    duration; ConfigError otherwise.
+    on a uniform s-grid of spacing cfg.dt, seeded with the free evolution.
+    The iterate is the interaction-picture coefficient w(t) = e^{-itH} psi(t),
+    for which the map reads w(t) = psi0 + the same integrals with e^{-isH}
+    in place of e^{i(t-s)H}; each iteration forms psi = e^{itH} w once.
+    Panel j of the potential integral is (U_j / 2)(F_j + F_{j+1}), with U_j
+    the control's exact integral over the panel, as a Strang step takes it,
+    so a jump of a piecewise-constant control costs no order.  The cubic
+    integral is the composite trapezoid rule.  In 1D the potential term is
+    one real GEMM of the (N, N) multiplier matrix of K on the coefficients,
+    so a linear 1D solve makes no transform; in 2D and 3D that matrix would
+    be N^d x N^d, and the term is formed on the grid.
+
+    t_final must be small enough for the map to contract; callers restart
+    in windows otherwise.  distances holds the sup-over-time L2 distance of
+    successive iterates w, which is that of the iterates psi to roundoff,
+    since e^{itH} is unitary.  The window [t_offset, t_offset + t_final]
+    must lie inside the control's duration; ConfigError otherwise.
     """
     cfg.validate(basis)
     end, duration = t_offset + t_final, cfg.control.duration
@@ -486,29 +503,62 @@ def picard_solve(
     n = max(1, int(round(t_final / cfg.dt)))
     h = t_final / n
     ts = np.arange(n + 1) * h
-    phases = np.exp(1j * np.multiply.outer(basis.lam, ts))
-    free = phases * psi0.coeffs[..., None]
-    ku = np.multiply.outer(cfg.potential.grid_values, cfg.control(t_offset + ts))
-
-    psi = free.copy()
+    shape = basis.lam.shape + (n + 1,)
+    lam_t = np.multiply.outer(basis.lam, ts)
+    phases = np.empty(shape, complex)  # e^{i lam t}
+    np.cos(lam_t, out=phases.real)
+    np.sin(lam_t, out=phases.imag)
+    back = np.empty(shape, complex)  # -(i/2) e^{-i lam t}: the integrand's -i and the trapezoid's 1/2
+    np.multiply(phases.imag, -0.5, out=back.real)
+    np.multiply(phases.real, -0.5, out=back.imag)
+    # U_{j-1} at node j; complex, so that its product with coefficients casts nothing
+    panel_u = np.zeros(n + 1, complex)
+    panel_u[1:] = cfg.control.integral(t_offset + ts[:-1], t_offset + ts[1:])
+    k_grid = cfg.potential.grid_values
+    k_hat = _multiplier_matrix(basis, k_grid) if basis.dim == 1 else None
+    c0 = psi0.coeffs
+    w = np.empty(shape, complex)
+    w[...] = c0[..., None]
+    w_new, psi, term = (np.empty(shape, complex) for _ in range(3))
+    flat = term.reshape(-1)
+    work = {}
     dists, ratios = [], []
     for it in range(cfg.picard_max_iter):
-        grids = _synthesize(basis, psi)
-        # the integrand without its factor -1j, which is applied to the coefficients
-        f = ku * grids
+        np.multiply(phases, w, out=psi)
+        if cfg.sigma or k_hat is None:
+            g = _synthesize(basis, psi, work)
         if cfg.sigma:
-            f -= cfg.sigma * np.abs(grids) ** 2 * grids
-        fc = np.conj(phases) * (-1j * _analyze(basis, f))
-        integral = np.zeros_like(fc)
-        integral[..., 1:] = np.cumsum(0.5 * h * (fc[..., :-1] + fc[..., 1:]), axis=-1)
-        new = free + phases * integral
-        dist = float(np.max(np.sqrt(np.sum(np.abs(new - psi) ** 2, axis=tuple(range(basis.dim))))))
+            mod2 = np.square(g.real, out=_scratch(work, "mod2", g.shape, float))
+            mod2 += np.square(g.imag, out=_scratch(work, "im2", g.shape, float))
+            mod2 *= -cfg.sigma * h
+            cubic = np.multiply(mod2, g, out=_scratch(work, "cubic", g.shape))
+        if k_hat is None:
+            k_psi = _analyze(basis, np.multiply(k_grid[..., None], g, out=_scratch(work, "kg", g.shape)), work)
+        else:
+            k_psi = np.matmul(k_hat, psi.view(float), out=term.view(float)).view(complex)
+        np.multiply(back, k_psi, out=term)
+        # Node j >= 1 of w_new gets the sum over panel j - 1 of its end
+        # values, taken on flat views; the sum that straddles two rows lands
+        # on node 0 of the later one, which is reset to c0 before the cumsum.
+        acc = w_new.reshape(-1)[1:]
+        np.add(flat[:-1], flat[1:], out=acc)
+        w_new *= panel_u
+        if cfg.sigma:
+            np.multiply(back, _analyze(basis, cubic, work), out=term)
+            acc += flat[:-1]
+            acc += flat[1:]
+        w_new[..., 0] = c0
+        np.cumsum(w_new, axis=-1, out=w_new)
+        diff = np.subtract(w_new, w, out=psi).view(float)  # psi is formed again from w next time
+        np.square(diff, out=diff)
+        sums = diff.reshape(basis.lam.size, -1).sum(axis=0)
+        dist = float(np.sqrt(np.max(sums[0::2] + sums[1::2])))
         if dists and dists[-1] > 0.0:
             ratios.append(dist / dists[-1])
         dists.append(dist)
-        psi = new
+        w, w_new = w_new, w
         if dist <= cfg.picard_tol:
-            state = SpectralField(basis.dim, basis.n_modes, psi[..., -1].copy())
+            state = SpectralField(basis.dim, basis.n_modes, phases[..., -1] * w[..., -1])
             return PicardResult(state, it + 1, tuple(dists), tuple(ratios))
     raise PicardDidNotConverge(cfg.picard_max_iter, ratios[-1] if ratios else np.inf)
 

@@ -108,6 +108,8 @@ def test_negative_dt_names_field(tmp_path, capsys):
         ("record_out_of_range", "record_times"),
         ("T_huge_integer", "T"),
         ("n_samples_huge", "n_samples"),
+        ("simulate_unread_diagnostic", "config.diagnostic"),
+        ("kato_scan_unread_sim", "config.sim"),
     ],
 )
 def test_bad_config_names_key(tmp_path, capsys, fixture, key):

@@ -288,6 +288,112 @@ def test_simulate_picard_integrator_matches_strang(basis64):
     assert np.sqrt(np.sum(np.abs(final_p - final_s) ** 2)) <= 1e-5
 
 
+@pytest.mark.parametrize("sigma", [0, 1])
+def test_picard_second_order_across_control_jumps(sigma):
+    # u jumps from 3 to -3 at t = 0.05; with the panel integrals of u the
+    # Picard - Strang distance keeps Strang's second order across the jump
+    basis = build_basis(1, 16)
+    u = ControlSignal.piecewise_constant([3.0, -3.0], 0.1)
+    errors = []
+    for dt in (5e-3, 2.5e-3, 1.25e-3, 6.25e-4):
+        cfg = bump_config(basis, sigma=sigma, control=u, t_final=0.1, dt=dt,
+                          init=InitialState("coherent", displacement=1.0))
+        picard = picard_solve(basis, cfg, 0.1).state.coeffs
+        errors.append(np.linalg.norm(picard - simulate(basis, cfg).final_state.coeffs))
+    assert all(a >= 3.5 * b for a, b in zip(errors, errors[1:]))
+
+
+def iterate_on_psi(basis, cfg, t_final, psi0, t_offset=0.0):
+    """The fixed-point loop on psi itself, grid integrand u(s) K psi(s) with
+    u sampled at the nodes: for a control that is constant on the window,
+    an independent formulation of the map picard_solve iterates."""
+    n = max(1, int(round(t_final / cfg.dt)))
+    h = t_final / n
+    ts = np.arange(n + 1) * h
+    phases = np.exp(1j * np.multiply.outer(basis.lam, ts))
+    free = phases * psi0.coeffs[..., None]
+    ku = np.multiply.outer(cfg.potential.grid_values, cfg.control(t_offset + ts))
+    psi, dists = free.copy(), []
+    for it in range(cfg.picard_max_iter):
+        grids = dynamics._synthesize(basis, psi)
+        f = ku * grids
+        if cfg.sigma:
+            f -= cfg.sigma * np.abs(grids) ** 2 * grids
+        fc = np.conj(phases) * (-1j * dynamics._analyze(basis, f))
+        integral = np.zeros_like(fc)
+        integral[..., 1:] = np.cumsum(0.5 * h * (fc[..., :-1] + fc[..., 1:]), axis=-1)
+        new = free + phases * integral
+        dists.append(float(np.max(np.sqrt(np.sum(np.abs(new - psi) ** 2, axis=tuple(range(basis.dim)))))))
+        psi = new
+        if dists[-1] <= cfg.picard_tol:
+            return psi[..., -1], it + 1, dists
+    raise AssertionError("the reference loop did not converge")
+
+
+def assert_matches_psi_iteration(basis, cfg, res, t_final, psi0, t_offset):
+    state, n_iter, dists = iterate_on_psi(basis, cfg, t_final, psi0, t_offset)
+    assert res.n_iter == n_iter
+    assert np.max(np.abs(np.subtract(res.distances, dists))) <= 1e-12
+    assert np.linalg.norm(res.state.coeffs - state) <= 1e-13
+
+
+def one_piece_config(dim, n_modes, sigma):
+    return bump_config(build_basis(dim, n_modes), sigma=sigma,
+                       control=ControlSignal.piecewise_constant([0.7], 0.1),
+                       t_final=0.06, dt=1e-3, picard_window=0.025)
+
+
+@pytest.mark.parametrize("dim, n_modes", [(1, 32), (2, 8), (3, 6)])
+@pytest.mark.parametrize("sigma", [-1, 0, 1])
+@pytest.mark.parametrize("t_offset", [0.0, 0.02])
+def test_picard_solve_matches_iteration_on_psi(dim, n_modes, sigma, t_offset):
+    basis, cfg = build_basis(dim, n_modes), one_piece_config(dim, n_modes, sigma)
+    psi0 = make_initial_state(basis, cfg.initial_state)
+    res = picard_solve(basis, cfg, 0.04, psi0=psi0, t_offset=t_offset)
+    assert_matches_psi_iteration(basis, cfg, res, 0.04, psi0, t_offset)
+
+
+@pytest.mark.parametrize("dim, n_modes", [(1, 32), (2, 8), (3, 6)])
+@pytest.mark.parametrize("sigma", [-1, 0, 1])
+def test_simulate_picard_windows_match_iteration_on_psi(monkeypatch, dim, n_modes, sigma):
+    # simulate's windows: [0, 0.025], [0.025, 0.05], [0.05, 0.06]
+    basis, cfg = build_basis(dim, n_modes), one_piece_config(dim, n_modes, sigma)
+    solve, windows = dynamics.picard_solve, []
+
+    def recorded(basis, cfg, t_final, psi0, t_offset):
+        windows.append((t_final, psi0, t_offset, solve(basis, cfg, t_final, psi0=psi0, t_offset=t_offset)))
+        return windows[-1][-1]
+
+    monkeypatch.setattr(dynamics, "picard_solve", recorded)
+    traj = simulate(basis, replace(cfg, integrator="picard"))
+    monkeypatch.undo()
+    assert [w[2] for w in windows] == pytest.approx([0.0, 0.025, 0.05])
+    for t_final, start, offset, res in windows:
+        assert_matches_psi_iteration(basis, cfg, res, t_final, start, offset)
+    assert np.array_equal(traj.final_state.coeffs, windows[-1][-1].state.coeffs)
+
+
+@pytest.mark.parametrize("dim, sigma, per_iter", [
+    (1, 0, (0, 0)), (1, 1, (1, 1)), (1, -1, (1, 1)), (2, 0, (1, 1)), (2, 1, (1, 2)),
+])
+def test_picard_solve_transform_counts(monkeypatch, dim, sigma, per_iter):
+    # a 1D potential term is one GEMM on the coefficients; the cubic term,
+    # and in 2D the potential term, take one synthesis and one analysis each
+    basis = build_basis(dim, 32 if dim == 1 else 8)
+    calls = {"_synthesize": [], "_analyze": []}
+    for name, log in calls.items():
+        def counted(*args, transform=getattr(dynamics, name), log=log):
+            log.append(1)
+            return transform(*args)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    cfg = bump_config(basis, sigma=sigma, control=ControlSignal.piecewise_constant([0.7], 0.05),
+                      t_final=0.05, dt=1e-3)
+    res = picard_solve(basis, cfg, 0.05)
+    assert res.n_iter > 1
+    assert (len(calls["_synthesize"]), len(calls["_analyze"])) == tuple(res.n_iter * k for k in per_iter)
+
+
 def test_simulate_d2_conserves_l2():
     from gpe.hermite import build_basis
 
