@@ -38,6 +38,11 @@ from .operators import _check_beta, free_propagate, lp_norm, sobolev_norm
 
 H1_DIVERGENCE_LIMIT = 1.0e6
 
+# The most steps a run may take: a dt that asks for more is refused before any array over
+# the step grid is made.  Each such array holds a few numbers per step (80 MB per float at
+# the bound), and a 1D N = 32 Strang step takes about 10 us, so a run at the bound takes minutes.
+MAX_STEPS = 10**7
+
 # How far a record time may lie past t_final.  A Picard window may end past the control
 # by this times max(1, duration), which covers the roundoff in simulate's window ends.
 _TIME_SLACK = 1e-12
@@ -112,6 +117,7 @@ class SimConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        _step_count(self.t_final, self.dt)
         if self.integrator not in ("strang", "picard"):
             raise ConfigError(f"unknown integrator {self.integrator!r}")
         for t in self.record_times:
@@ -346,9 +352,17 @@ def _check_h1(basis: HermiteBasis, coeffs: np.ndarray, t: float):
     return h1sq
 
 
+def _step_count(t: float, dt: float) -> int:
+    """max(1, round(t / dt)), the steps of about dt over [0, t]; ConfigError naming dt past MAX_STEPS."""
+    ratio = t / dt
+    if ratio > MAX_STEPS + 0.5:  # round(ratio) > MAX_STEPS, or ratio overflowed to inf
+        raise ConfigError(f"dt = {dt} makes {ratio:.3g} steps over t = {t}, more than MAX_STEPS = {MAX_STEPS}")
+    return max(1, int(round(ratio)))
+
+
 def _snap_records(cfg: SimConfig) -> tuple[int, float, dict]:
     """(n_steps, dt, record steps): the step grid of cfg and its record times snapped onto it."""
-    n_steps = max(1, int(round(cfg.t_final / cfg.dt)))
+    n_steps = _step_count(cfg.t_final, cfg.dt)
     dt = cfg.t_final / n_steps
     times = cfg.record_times if cfg.record_times else (0.0, cfg.t_final)
     idx = {}
@@ -500,7 +514,7 @@ def picard_solve(
     if psi0 is None:
         psi0 = make_initial_state(basis, cfg.initial_state)
     _check_fit(basis, psi0, "psi0")
-    n = max(1, int(round(t_final / cfg.dt)))
+    n = _step_count(t_final, cfg.dt)
     h = t_final / n
     ts = np.arange(n + 1) * h
     shape = basis.lam.shape + (n + 1,)
@@ -567,7 +581,7 @@ def _picard_march(basis, cfg, psi0, n_steps, dt, record_at):
     """Yield (j, state after step j) at the end of each fixed-point window of
     simulate(integrator='picard').  A window spans at most picard_window
     and ends at every record step."""
-    window_steps = max(1, int(round(cfg.picard_window / dt)))
+    window_steps = max(1, int(round(min(cfg.picard_window / dt, n_steps))))
     c, j0 = psi0.coeffs, 0
     for j1 in sorted(set(record_at) - {0} | {n_steps}):
         while j0 < j1:

@@ -28,7 +28,6 @@ from functools import reduce
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 _PI_M14 = np.pi ** -0.25
 
@@ -97,6 +96,7 @@ class GridField:
 
 
 _LOG2E = 1.0 / np.log(2.0)
+_RENORM_EVERY = 16
 
 
 def _envelope_start(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,14 +124,21 @@ def _hermite_pairs(x: np.ndarray, m: int):
     The recurrence runs on (mantissa, power-of-two exponent) pairs so that
     the deep classically forbidden region, where intermediate h_k underflow
     double precision, does not poison the later modes whose true values are
-    O(1) there.
+    O(1) there.  The mantissas are pulled back to [1/2, 1) every
+    _RENORM_EVERY steps and at the last one.  In between, the pair grows by
+    at most a factor sqrt(2) |x| + 1 per step, so 16 steps stay inside the
+    double range for every |x| whose envelope exponent fits the int64
+    shift (|x| < 3.5e9), and a power-of-two scaling commutes with the
+    rounding of each step: unless a mantissa underflows, every yielded
+    value equals that of a pull after every step.
     """
     p, shift = _envelope_start(x)
     q = np.sqrt(2.0) * x * p
     yield p, q, shift
     for k in range(1, m):
         p, q = q, x * np.sqrt(2.0 / (k + 1)) * q - np.sqrt(k / (k + 1.0)) * p
-        p, q, shift = _renorm(p, q, shift)
+        if k % _RENORM_EVERY == 0 or k == m - 1:
+            p, q, shift = _renorm(p, q, shift)
         yield p, q, shift
 
 
@@ -152,20 +159,75 @@ def _scaled_pair(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return deque(_hermite_pairs(x, m), maxlen=1)[0]
 
 
+# the first ten zeros of the Airy function Ai, which the asymptotic series
+# of _airy_zeros places too coarsely
+_AIRY_ZEROS = np.array([
+    -2.338107410459762, -4.087949444130970, -5.520559828095555, -6.786708090071765,
+    -7.944133587120863, -9.022650853340979, -10.040174341558084, -11.008524303733260,
+    -11.936015563236262, -12.828776752865757,
+])
+
+
+def _airy_zeros(n: int) -> np.ndarray:
+    """The first n zeros a_1 > a_2 > ... of Ai: the asymptotic series -T(3 pi (4k - 1) / 8)."""
+    t = 3.0 * np.pi / 8.0 * (4.0 * np.arange(1, n + 1) - 1.0)
+    s = t**-2.0
+    a = -t ** (2.0 / 3.0) * (
+        1.0 + s * (5.0 / 48 + s * (-5.0 / 36 + s * (77125.0 / 82944 + s * (
+            -108056875.0 / 6967296 + s * 162375596875.0 / 334430208))))
+    )
+    k = min(n, _AIRY_ZEROS.size)
+    a[:k] = _AIRY_ZEROS[:k]
+    return a
+
+
+def _node_guesses(m: int) -> np.ndarray:
+    """Asymptotic guesses for the m zeros of h_m, increasing.
+
+    Of the half = m // 2 positive zeros, those below index 0.4985 m come
+    from Tricomi's formula and the rest, the largest, from Gatteschi's
+    Airy-zero formula, patched as Chebfun's hermpts does; an odd m adds the
+    zero at 0.
+    """
+    half, a = m // 2, (m % 2) - 0.5
+    nu = 2.0 * m + 1.0
+    cut = min(int(0.4985 * m), half)
+    # Tricomi: x^2 ~ nu t - (5 / (4 (1 - t)^2) - 1 / (1 - t) - 1 + 3 a^2) / (3 nu),
+    # t = cos^2(T / 2) with T - sin T = (4 half - 4 k + 3) pi / nu, k = 1 .. cut
+    rhs = (4.0 * half - 4.0 * np.arange(1, cut + 1) + 3.0) * np.pi / nu
+    big_t = np.full(cut, np.pi / 2)
+    for _ in range(7):
+        big_t -= (big_t - np.sin(big_t) - rhs) / (1.0 - np.cos(big_t))
+    t = np.cos(big_t / 2.0) ** 2
+    bulk = np.sqrt(nu * t - (5.0 / (4.0 * (1.0 - t) ** 2) - 1.0 / (1.0 - t) - 1.0 + 3.0 * a * a) / (3.0 * nu))
+    # Gatteschi, from the largest zero down (at most 13 of them up to MAX_QUAD_NODES), reversed to increase
+    z = _airy_zeros(half - cut)
+    edge = np.sqrt(np.abs(
+        nu + 2.0 ** (2.0 / 3) * z * nu ** (1.0 / 3) + 0.2 * 2.0 ** (4.0 / 3) * z**2 * nu ** (-1.0 / 3)
+        + (11.0 / 35 - a * a - 12.0 / 175 * z**3) / nu
+        + (16.0 / 1575 * z + 92.0 / 7875 * z**4) * 2.0 ** (2.0 / 3) * nu ** (-5.0 / 3)
+        - (15152.0 / 3031875 * z**5 + 1088.0 / 121275 * z**2) * 2.0 ** (1.0 / 3) * nu ** (-7.0 / 3)
+    ))[::-1]
+    pos = np.concatenate([bulk, edge])
+    return np.concatenate([-pos[::-1], np.zeros(m % 2), pos])
+
+
 def gauss_hermite(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes and weights of the m-point Gauss-Hermite rule.
 
     Returns (nodes, phys_weights, quad_weights).  Initial node guesses are
-    the eigenvalues of the symmetric tridiagonal Jacobi matrix
-    (Golub-Welsch); each node is then polished by Newton iteration on the
+    asymptotic (_node_guesses): Tricomi's formula in the bulk [Tricomi,
+    Ann. Mat. Pura Appl. 26 (1947)] and Gatteschi's Airy-zero formula at
+    the edges [Gatteschi, J. Comput. Appl. Math. 144 (2002)], as in
+    Townsend, Trogdon and Olver, IMA J. Numer. Anal. 36 (2016); they cost
+    O(m).  Each node is then polished by Newton iteration on the
     envelope-carried recurrence until the relative update is below 1e-14.
     The dx-weights come from the Christoffel identity
     W_i = 1 / (m * h_{m-1}(x_i)^2), which never over- or underflows.
     """
     if m < 2:
         raise ConfigError("quadrature size must be at least 2")
-    off = np.sqrt(np.arange(1, m) / 2.0)
-    x = eigh_tridiagonal(np.zeros(m), off, eigvals_only=True)
+    x = _node_guesses(m)
     for _ in range(12):
         p, q, _ = _scaled_pair(m, x)
         deriv = np.sqrt(2.0 * m) * p - x * q

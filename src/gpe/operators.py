@@ -98,6 +98,13 @@ def free_propagate(basis: HermiteBasis, f: SpectralField, t: float) -> SpectralF
     return SpectralField(f.dim, f.n_modes, f.coeffs * np.exp(1j * basis.lam * t))
 
 
+# The most trapezoid panels kato_functional takes.  Its two exponential tables hold about
+# 2 sqrt(span) + 1 complex numbers per time node, span being the largest level gap, at most
+# 3 (MAX_MODES - 1) = 3069; that is at most 113 numbers, 1.8 KB, per node, so at most
+# 120 MB at the bound (67 MB in 1D).
+MAX_TIME_PANELS = 2**16
+
+
 def kato_functional(
     basis: HermiteBasis,
     phi: SpectralField,
@@ -110,8 +117,8 @@ def kato_functional(
     Computes the L2 norm over [t0, t1] x R^d of
     (1 + |x|^2)^(-1/4) H^(beta/2) e^{itH} phi, with the spatial integral by
     tensor quadrature and the time integral by the composite trapezoid
-    rule with n_time panels.  Defined for 0 <= beta < 1/2 only; the
-    endpoint beta = 1/2 is rejected.
+    rule with n_time panels, 16 to MAX_TIME_PANELS.  Defined for
+    0 <= beta < 1/2 only; the endpoint beta = 1/2 is rejected.
 
     The free flow is diagonal: with amp = H^(beta/2) phi split by level
     l = |k| (eigenvalue 2 l + d) into parts g_l, e^{itH} amp equals
@@ -128,8 +135,8 @@ def kato_functional(
     """
     _check_beta(beta)
     _check_fit(basis, phi, "phi")
-    if n_time < 16:
-        raise ConfigError(f"n_time must be at least 16, got {n_time}")
+    if not 16 <= n_time <= MAX_TIME_PANELS:
+        raise ConfigError(f"n_time must be in [16, {MAX_TIME_PANELS}], got {n_time}")
     try:
         window = np.asarray(t_window, dtype=float)
     except (TypeError, ValueError):

@@ -2,6 +2,8 @@ import copy
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,13 @@ from gpe.cli import emit_records, main, run, run_config
 
 DATA = Path(__file__).parent / "data"
 CONFIGS = Path(__file__).parent.parent / "configs"
+
+
+def test_import_graph_has_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    probe = "import sys, gpe, gpe.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -110,6 +119,8 @@ def test_negative_dt_names_field(tmp_path, capsys):
         ("n_samples_huge", "n_samples"),
         ("simulate_unread_diagnostic", "config.diagnostic"),
         ("kato_scan_unread_sim", "config.sim"),
+        ("simulate_dt_tiny", "dt"),
+        ("kato_scan_n_time_huge", "n_time"),
     ],
 )
 def test_bad_config_names_key(tmp_path, capsys, fixture, key):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -430,6 +431,30 @@ def test_config_validation(basis64):
             replace(cfg, **{field: value}).validate()
 
 
+def test_step_count_bound_refuses_before_allocating(basis64):
+    cfg = bump_config(basis64, sigma=0, t_final=1.0, dt=1e-3, control=ControlSignal.zero(100.0))
+    replace(cfg, dt=1.0 / dynamics.MAX_STEPS).validate(basis64)
+    for dt in (1.0 / (dynamics.MAX_STEPS + 1), 1e-12, 1e-300):
+        with pytest.raises(ConfigError, match="dt"):
+            replace(cfg, dt=dt).validate()
+    # the run's own step grid passes, but a Picard solve over the control's whole
+    # duration would take 10^8 steps
+    long = replace(cfg, dt=1e-6)
+    tracemalloc.start()
+    try:
+        for bad in (replace(cfg, dt=1.0 / (dynamics.MAX_STEPS + 1)), replace(cfg, dt=1e-300)):
+            with pytest.raises(ConfigError, match="dt"):
+                simulate(basis64, bad)
+            with pytest.raises(ConfigError, match="dt"):
+                picard_solve(basis64, bad, 1.0)
+        with pytest.raises(ConfigError, match="dt"):
+            picard_solve(basis64, long, 100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the step edges alone of 10^7 + 1 steps take 80 MB
+
+
 def test_picard_solve_refuses_bad_time_arguments(basis64):
     u = ControlSignal.piecewise_constant([0.5], 0.1)
     cfg = bump_config(basis64, sigma=0, control=u, t_final=0.1, dt=1e-3)
@@ -452,6 +477,13 @@ def test_picard_solve_accepts_window_ends_of_a_long_run(basis64):
     assert (n_steps - 4) * dt + 4 * dt - t_final > 1e-12
     res = picard_solve(basis64, cfg, 4 * dt, t_offset=(n_steps - 4) * dt)
     assert res.n_iter == 1
+
+
+def test_picard_window_longer_than_any_step_count(basis64):
+    # picard_window / dt overflows to inf; the run is one window
+    cfg = bump_config(basis64, sigma=0, t_final=1e-3, dt=1e-4, integrator="picard", picard_window=1e306)
+    want = simulate(basis64, replace(cfg, picard_window=1e-3)).final_state.coeffs
+    assert np.array_equal(simulate(basis64, cfg).final_state.coeffs, want)
 
 
 @pytest.mark.parametrize("mismatch", ["basis", "potential", "control"])

@@ -1,13 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_hermite
 
 from gpe.hermite import (
+    MAX_MODES,
     GridField,
     _analyze,
+    _envelope_start,
+    _renorm,
+    _scaled_pair,
     _synthesize,
     basis_state,
     build_basis,
@@ -80,6 +86,97 @@ def test_gauss_hermite_matches_numpy_small():
     assert np.max(np.abs(x - xn)) <= 1e-13
     assert np.max(np.abs(w - wn)) <= 1e-13
     assert np.max(np.abs(phys - wn * np.exp(xn**2))) <= 1e-10
+
+
+def gauss_hermite_golub_welsch(m):
+    """The rule from Jacobi-matrix eigenvalues (Golub-Welsch) as first guesses,
+    then the Newton polish, symmetrization and Christoffel weights of gauss_hermite."""
+    x = eigh_tridiagonal(np.zeros(m), np.sqrt(np.arange(1, m) / 2.0), eigvals_only=True)
+    for _ in range(12):
+        p, q, _ = _scaled_pair(m, x)
+        step = q / (np.sqrt(2.0 * m) * p - x * q)
+        x = x - step
+        if np.max(np.abs(step) / (1.0 + np.abs(x))) <= 1e-14:
+            break
+    else:
+        raise RuntimeError("Golub-Welsch oracle did not converge")
+    x = np.sort(x)
+    x = 0.5 * (x - x[::-1])
+    p, _, shift = _scaled_pair(m, x)
+    phys = np.ldexp(1.0 / (m * p * p), -2 * shift)
+    return x, 0.5 * (phys + phys[::-1])
+
+
+@pytest.mark.parametrize("m", list(range(2, 65)) + [65, 97, 128, 255, 256, 257, 514, 1024, 2048])
+def test_gauss_hermite_matches_golub_welsch_oracle(m):
+    x, phys, quad_w = gauss_hermite(m)
+    x_ref, phys_ref = gauss_hermite_golub_welsch(m)
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1])
+    assert np.all(np.abs(x - x_ref) <= 2 * np.spacing(np.maximum(1.0, np.abs(x_ref))))
+    assert np.max(np.abs(phys - phys_ref) / phys_ref) <= 1e-15 * m
+    assert np.array_equal(quad_w, phys * np.exp(-x * x))
+
+
+def mp_hermite_rule(m, guesses):
+    """40-digit (root, dx-weight) pairs of the m-point rule by Newton from guesses.
+
+    Runs the recurrence of hermite_values without the envelope; the weight
+    1 / (m h_{m-1}(x)^2) is sqrt(pi) exp(x^2) / (m p^2) in those terms.
+    """
+    with mpmath.workdps(40):
+        a = [mpmath.sqrt(mpmath.mpf(2) / (k + 1)) for k in range(m)]
+        b = [mpmath.sqrt(mpmath.mpf(k) / (k + 1)) for k in range(m)]
+
+        def pair(x):
+            p, q = mpmath.mpf(0), mpmath.mpf(1)
+            for k in range(m):
+                p, q = q, x * a[k] * q - b[k] * p
+            return p, q
+
+        rule = []
+        for g in guesses:
+            x = mpmath.mpf(float(g))
+            for _ in range(3):
+                p, q = pair(x)
+                x -= q / (mpmath.sqrt(2 * m) * p)
+            p, _ = pair(x)
+            rule.append((x, mpmath.sqrt(mpmath.pi) * mpmath.exp(x * x) / (m * p * p)))
+        return rule
+
+
+@pytest.mark.parametrize("m", [8, 32, 64])
+def test_gauss_hermite_matches_mpmath_roots(m):
+    x, phys, _ = gauss_hermite(m)
+    pos = slice(m // 2, None) if m % 2 == 0 else slice(m // 2 + 1, None)
+    for xi, wi, (root, weight) in zip(x[pos], phys[pos], mp_hermite_rule(m, x[pos])):
+        assert abs(mpmath.mpf(float(xi)) - root) <= np.spacing(float(root))
+        assert abs(mpmath.mpf(float(wi)) - weight) <= 1e-15 * m * weight
+
+
+def hermite_pairs_per_step(x, m):
+    """The recurrence of _hermite_pairs with _renorm after every step."""
+    p, shift = _envelope_start(x)
+    q = np.sqrt(2.0) * x * p
+    yield p, q, shift
+    for k in range(1, m):
+        p, q = q, x * np.sqrt(2.0 / (k + 1)) * q - np.sqrt(k / (k + 1.0)) * p
+        p, q, shift = _renorm(p, q, shift)
+        yield p, q, shift
+
+
+@pytest.mark.parametrize("m", [2, 3, 16, 17, 33, 64, 257, 1024, 2048])
+def test_delayed_renorm_is_bit_identical(m):
+    nodes = gauss_hermite(m)[0]
+    x = np.concatenate([nodes, np.linspace(-1.2, 1.2, 241) * nodes[-1]])
+    n = min(m, MAX_MODES)
+    table = np.empty((n,) + x.shape)
+    for k, last in enumerate(hermite_pairs_per_step(x, m)):
+        if k < n:
+            table[k] = np.ldexp(last[0], last[2])
+    assert np.array_equal(hermite_values(n, x), table)
+    for got, want in zip(_scaled_pair(m, x), last):
+        assert np.array_equal(got, want)
 
 
 def test_build_basis_rejects_bad_arguments():

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -185,6 +186,20 @@ def test_kato_functional_rejects_bad_window(basis64):
     for window in ((-1.0, 0.0, 1.0), (1.0,), 1.0, ("a", "b"), None, (-np.inf, 1.0), (0.0, np.nan)):
         with pytest.raises(ConfigError, match="t_window"):
             kato_functional(basis64, phi, 0.3, window, 32)
+
+
+def test_kato_functional_bounds_n_time(basis64):
+    phi = basis_state(basis64, 3)
+    assert kato_functional(basis64, phi, 0.3, (0.0, 1.0), gpe.operators.MAX_TIME_PANELS) > 0.0
+    tracemalloc.start()
+    try:
+        for n_time in (15, gpe.operators.MAX_TIME_PANELS + 1, 10**12):
+            with pytest.raises(ConfigError, match="n_time"):
+                kato_functional(basis64, phi, 0.3, (0.0, 1.0), n_time)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the time grid alone of 10^12 panels would take 8 TB
 
 
 def kato_time_slices(basis, phi, beta, t_window, n_time):
