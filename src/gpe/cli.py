@@ -40,6 +40,7 @@ from .diagnostics import (
     weak_limit_experiment,
 )
 from .dynamics import (
+    MAX_STEPS,
     InitialState,
     PicardDidNotConverge,
     SimConfig,
@@ -211,7 +212,7 @@ def build_simulation(spec: dict, path: str = "sim", seed_shift: int = 0):
         _require(f["record_times"], f"{path}.record_times: expected a nonempty list")
     elif "n_records" in f:
         n_rec = f.pop("n_records")
-        _require(n_rec >= 1, f"{path}.n_records: must be >= 1")
+        _require(1 <= n_rec <= MAX_STEPS + 1, f"{path}.n_records: must be in [1, MAX_STEPS + 1 = {MAX_STEPS + 1}]")
         f["record_times"] = tuple(np.linspace(0.0, t_final, max(n_rec, 2)))
     f["initial_state"] = _build_initial(f["initial_state"], seed_shift, f"{path}.initial_state")
     f["potential"] = _build_potential(f["potential"], basis, f"{path}.potential")

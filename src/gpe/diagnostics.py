@@ -306,6 +306,12 @@ def draw_control(
     return ControlSignal.piecewise_constant(vals * (l2_norm / cur), duration)
 
 
+# The most samples attainable_ensemble draws.  The samples march as one batch, which keeps
+# a coefficient column and the grid-sized step arrays of every sample (about 5 KB a sample
+# in 1D at N = 32, so about 0.3 GB at the bound, but about 1.4 MB a sample in 3D at N = 12).
+MAX_SAMPLES = 2**16
+
+
 def attainable_ensemble(
     basis: HermiteBasis,
     cfg_template: SimConfig,
@@ -329,8 +335,8 @@ def attainable_ensemble(
     profiles zero.  Deterministic given the seed.
     """
     cfg_template.validate(basis)
-    if n_samples < 1:
-        raise ConfigError(f"n_samples must be at least 1, got {n_samples}")
+    if not 1 <= n_samples <= MAX_SAMPLES:
+        raise ConfigError(f"n_samples must be in [1, MAX_SAMPLES = {MAX_SAMPLES}], got {n_samples}")
     if cfg_template.sigma != 0:
         raise ConfigError("attainable ensembles are bilinear (sigma = 0)")
     if seed < 0:

@@ -26,15 +26,19 @@ from .hermite import (
     GridField,
     HermiteBasis,
     SpectralField,
+    _abs2,
     _analyze,
     _check_fit,
+    _interleaved,
+    _level_exp,
     _quad_sum,
     _scratch,
     _synthesize,
+    _to_complex,
     basis_state,
     spectral_field,
 )
-from .operators import _check_beta, free_propagate, lp_norm, sobolev_norm
+from .operators import _check_beta, free_propagate, sobolev_norm
 
 H1_DIVERGENCE_LIMIT = 1.0e6
 
@@ -195,24 +199,95 @@ def grid_nonlinear_phase(
     """Exact flow of the pointwise phase equation over one step.
 
     values -> exp(-i (K * U - sigma |values|^2 * dt)) * values, with
-    U the integral of u over the step.  Moduli are unchanged exactly.
+    U the integral of u over the step.  Moduli are unchanged to roundoff.
     """
-    return GridField(values.dim, _phase_kernel(values.values, sigma, k_values, u_integral, dt))
+    v = values.values
+    planes = _phase_kernel(np.stack((v.real, v.imag)), sigma, k_values, u_integral, dt)
+    return GridField(values.dim, _to_complex(planes))
+
+
+# The rotation takes cos and sin of the phase from their Taylor polynomials
+# when the phase is at most _POLY_THETA_MAX in size, where they are within
+# 1 ulp of np.cos and np.sin, and the grid has at least _POLY_MIN_POINTS
+# points.  With one BLAS thread on a 2-vCPU host, np.cos and np.sin
+# together took 11 ns a point, the polynomials and the guard's two
+# reductions 5 ns a point at 32768 points, and the extra calls paid for
+# themselves from about 2048 points on.
+_POLY_THETA_MAX = 1.0 / 32
+_POLY_MIN_POINTS = 4096
+_COS_TAYLOR = (1.0, -1.0 / 2, 1.0 / 24, -1.0 / 720, 1.0 / 40320)
+_SIN_TAYLOR = (-1.0 / 6, 1.0 / 120, -1.0 / 5040)
+_SWAP_SIGNS = np.array([[1.0], [-1.0]])
+
+
+def _cos_sin(theta: np.ndarray, n_points: int, cos: np.ndarray, sin: np.ndarray, work: Optional[dict] = None):
+    """Write cos theta and sin theta into cos and sin; see _POLY_THETA_MAX."""
+    if n_points < _POLY_MIN_POINTS or not max(theta.max(), -theta.min()) <= _POLY_THETA_MAX:
+        np.cos(theta, out=cos)
+        np.sin(theta, out=sin)
+        return
+    z = np.square(theta, out=_scratch(work, "theta2", theta.shape))
+    c0, c2, c4, c6, c8 = _COS_TAYLOR
+    np.multiply(z, c8, out=cos)
+    for c in (c6, c4, c2):
+        cos += c
+        cos *= z
+    cos += c0
+    # sin = theta + theta z (s3 + z (s5 + z s7)): the last add rounds once
+    s3, s5, s7 = _SIN_TAYLOR
+    np.multiply(z, s7, out=sin)
+    sin += s5
+    sin *= z
+    sin += s3
+    sin *= z
+    sin *= theta
+    sin += theta
 
 
 def _phase_kernel(
-    v: np.ndarray, sigma: int, k_values: np.ndarray, u_int: float, dt: float, work: Optional[dict] = None
-):
-    """exp(-i (K u_int - sigma |v|^2 dt)) v, written into _scratch(work) arrays."""
-    phase = np.multiply(k_values, u_int, out=_scratch(work, "phase", v.shape, float))
+    planes: np.ndarray, sigma: int, k_values: np.ndarray, u_int, dt: float, work: Optional[dict] = None
+) -> np.ndarray:
+    """Rotate grid planes in place by theta = K u_int - sigma |v|^2 dt and return them.
+
+    planes has shape batch + (2,) + grid and k_values the grid's shape;
+    u_int is a number or holds one integral per member, shaped as the
+    batch.  The rotation is v -> exp(-i theta) v, and its arrays come from
+    _scratch(work).  1D planes as _synthesize stores them hold interleaved
+    complex values (see _interleaved), and are multiplied by exp(-i theta)
+    as complex numbers; other planes take (re cos theta + im sin theta,
+    im cos theta - re sin theta).  That takes four real passes where the
+    complex multiply takes one, which costs a 1D step, whose grid has too
+    few points to share the cost of the calls.
+    """
+    m = k_values.size
+    v = _interleaved(planes)
+    if v is not None:
+        k = k_values.reshape((m,) + (1,) * (v.ndim - 1))
+        # -theta, whose cos and sin are the parts of exp(-i theta)
+        theta = np.multiply(k, -u_int, out=_scratch(work, "theta", v.shape))
+        if sigma:
+            mod2 = np.abs(v, out=_scratch(work, "tmp", v.shape))
+            np.square(mod2, out=mod2)
+            np.multiply(mod2, sigma * dt, out=mod2)  # equals (sigma |v|^2) dt bit for bit at sigma = +-1
+            np.add(theta, mod2, out=theta)
+        rot = _scratch(work, "rot", v.shape, complex)
+        _cos_sin(theta, m, rot.real, rot.imag, work)
+        np.multiply(v, rot, out=v)
+        return planes
+    q = planes.reshape(planes.shape[: planes.ndim - k_values.ndim] + (m,))
+    u = np.reshape(u_int, np.shape(u_int) + (1, 1))
+    theta = np.multiply(k_values.reshape(-1), u, out=_scratch(work, "theta", q.shape[:-2] + (1, m)))
     if sigma:
-        mod2 = np.abs(v, out=_scratch(work, "mod2", v.shape, float))
-        np.square(mod2, out=mod2)
-        np.multiply(mod2, sigma * dt, out=mod2)  # equals (sigma |v|^2) dt bit for bit at sigma = +-1
-        np.subtract(phase, mod2, out=phase)
-    rot = np.multiply(-1j, phase, out=_scratch(work, "rot", v.shape))
-    np.exp(rot, out=rot)
-    return np.multiply(v, rot, out=rot)
+        mod2 = _abs2(q, work)
+        np.multiply(mod2, sigma * dt, out=mod2)
+        np.subtract(theta, mod2, out=theta)
+    cos, sin = _scratch(work, "cos", theta.shape), _scratch(work, "sin", theta.shape)
+    _cos_sin(theta, m, cos, sin, work)
+    swap = np.multiply(q[..., ::-1, :], sin, out=_scratch(work, "tmp", q.shape))
+    swap *= _SWAP_SIGNS  # (im sin, -re sin)
+    q *= cos
+    q += swap
+    return planes
 
 
 # Step integrals this close, relative to the first of a run, give one step map.
@@ -226,25 +301,23 @@ class _StrangStepper:
         self.basis = basis
         self.cfg = cfg
         self.dt = dt
-        self.half_phase = np.exp(0.5j * basis.lam * dt)
+        self.half_phase = _level_exp(basis, 0.5j * dt)
         self.k_values = cfg.potential.grid_values
-        # Every step reuses these grid-sized arrays.  2D and 3D grids pass
-        # glibc's 128 KB mmap threshold, and allocating them afresh made a
-        # 3D N = 16 cubic step about 1.5x slower.
+        # Every step, and every record of simulate, reuses these grid-sized
+        # arrays.  2D and 3D grids pass glibc's 128 KB mmap threshold, and
+        # allocating them afresh made a 3D N = 16 cubic step about 1.5x slower.
         self.work = {}
 
     def step(self, coeffs: np.ndarray, u_int) -> np.ndarray:
         """One step over which the control integrates to u_int.  coeffs may
         carry a trailing member axis, and u_int then holds one integral per
         member."""
-        half_phase, k_values = self.half_phase, self.k_values
+        half_phase = self.half_phase
         if coeffs.ndim > self.basis.dim:
-            half_phase, k_values = half_phase[..., None], k_values[..., None]
-        c = half_phase * coeffs
-        v = _synthesize(self.basis, c, self.work)
-        v = _phase_kernel(v, self.cfg.sigma, k_values, u_int, self.dt, self.work)
-        c = _analyze(self.basis, v, self.work)
-        return half_phase * c
+            half_phase = half_phase[..., None]
+        v = _synthesize(self.basis, half_phase * coeffs, self.work)
+        v = _phase_kernel(v, self.cfg.sigma, self.k_values, u_int, self.dt, self.work)
+        return half_phase * _analyze(self.basis, v, self.work)
 
     def march(self, coeffs: np.ndarray, u_ints: np.ndarray):
         """Yield (j, state after step j) for j = 1 .. len(u_ints); the control
@@ -304,14 +377,20 @@ def energy(basis: HermiteBasis, state: SpectralField) -> float:
 
     Invariant of the exact flow for the defocusing equation with u = 0.
     """
-    return _energy(basis, state.coeffs, _synthesize(basis, state.coeffs))
+    return _energy(basis, state.coeffs, _grid_abs2(basis, state.coeffs))
 
 
-def _energy(basis: HermiteBasis, coeffs: np.ndarray, values: np.ndarray) -> float:
-    """energy() of the state with the given coefficients and grid values."""
+def _grid_abs2(basis: HermiteBasis, coeffs: np.ndarray, work: Optional[dict] = None) -> np.ndarray:
+    """|v|^2 = re^2 + im^2 at the grid points, shape (1, M^dim), of the state with coefficients coeffs."""
+    return _abs2(_synthesize(basis, coeffs, work).reshape(2, -1), work)
+
+
+def _energy(basis: HermiteBasis, coeffs: np.ndarray, mod2: np.ndarray) -> float:
+    """energy() of the state with the given coefficients and _grid_abs2; squares mod2 in place."""
     a2 = np.abs(coeffs) ** 2
     quad_part = float(np.sum(basis.lam * a2) + np.sum(a2))
-    return quad_part + 0.5 * float(_quad_sum(basis, np.abs(values) ** 4))
+    quartic = np.square(mod2, out=mod2).reshape((basis.n_nodes,) * basis.dim)
+    return quad_part + 0.5 * float(_quad_sum(basis, quartic))
 
 
 def _record(
@@ -320,16 +399,17 @@ def _record(
     t: float,
     coeffs: np.ndarray,
     psi0: SpectralField,
+    work: Optional[dict] = None,
 ) -> TrajectoryRecord:
+    """The diagnostics of the state coeffs at time t; its grid arrays come from _scratch(work)."""
     state = SpectralField(basis.dim, basis.n_modes, coeffs.copy())
     l2 = float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))
     sob = {s: sobolev_norm(basis, state, s) for s in cfg.sobolev_s}
-    free = free_propagate(basis, psi0, t)
-    diff = SpectralField(basis.dim, basis.n_modes, coeffs - free.coeffs)
+    diff = SpectralField(basis.dim, basis.n_modes, coeffs - free_propagate(basis, psi0, t).coeffs)
     res = sobolev_norm(basis, diff, cfg.residual_k + cfg.residual_beta)
-    values = _synthesize(basis, coeffs)
-    linf = lp_norm(basis, GridField(basis.dim, values), np.inf)
-    return TrajectoryRecord(t, state, l2, _energy(basis, coeffs, values), sob, res, linf)
+    mod2 = _grid_abs2(basis, coeffs, work)
+    linf = math.sqrt(mod2.max())
+    return TrajectoryRecord(t, state, l2, _energy(basis, coeffs, mod2), sob, res, linf)
 
 
 def _check_h1(basis: HermiteBasis, coeffs: np.ndarray, t: float):
@@ -395,16 +475,18 @@ def simulate(basis: HermiteBasis, cfg: SimConfig) -> Trajectory:
 
     if cfg.integrator == "picard":
         states = _picard_march(basis, cfg, psi0, n_steps, dt, record_at)
+        work = {}
     else:
         edges = np.arange(n_steps + 1) * dt
         u_ints = cfg.control.integral(edges[:-1], edges[1:])
-        states = _StrangStepper(basis, cfg, dt).march(psi0.coeffs, u_ints)
+        stepper = _StrangStepper(basis, cfg, dt)
+        states, work = stepper.march(psi0.coeffs, u_ints), stepper.work
     if 0 in record_at:
-        records.append(_record(basis, cfg, 0.0, psi0.coeffs, psi0))
+        records.append(_record(basis, cfg, 0.0, psi0.coeffs, psi0, work))
     for j, c in states:
         _check_h1(basis, c, j * dt)
         if j in record_at:
-            records.append(_record(basis, cfg, j * dt, c, psi0))
+            records.append(_record(basis, cfg, j * dt, c, psi0, work))
     return Trajectory(cfg, dt, psi0, records)
 
 
@@ -530,6 +612,8 @@ def picard_solve(
     panel_u[1:] = cfg.control.integral(t_offset + ts[:-1], t_offset + ts[1:])
     k_grid = cfg.potential.grid_values
     k_hat = _multiplier_matrix(basis, k_grid) if basis.dim == 1 else None
+    planes_shape = (n + 1, 2, k_grid.size)
+    psi_planes = (n + 1, 2) + k_grid.shape
     c0 = psi0.coeffs
     w = np.empty(shape, complex)
     w[...] = c0[..., None]
@@ -540,14 +624,23 @@ def picard_solve(
     for it in range(cfg.picard_max_iter):
         np.multiply(phases, w, out=psi)
         if cfg.sigma or k_hat is None:
-            g = _synthesize(basis, psi, work)
-        if cfg.sigma:
-            mod2 = np.square(g.real, out=_scratch(work, "mod2", g.shape, float))
-            mod2 += np.square(g.imag, out=_scratch(work, "im2", g.shape, float))
+            g = _synthesize(basis, psi, work).reshape(planes_shape)  # (time, re/im, point)
+        if cfg.sigma and k_hat is not None:
+            # 1D: g holds the grid values as interleaved complex numbers, and
+            # the cubic term overwrites them, as one complex multiply
+            v = _interleaved(g)
+            mod2 = np.square(v.real, out=_scratch(work, "mod2", v.shape))
+            mod2 += np.square(v.imag, out=_scratch(work, "im2", v.shape))
             mod2 *= -cfg.sigma * h
-            cubic = np.multiply(mod2, g, out=_scratch(work, "cubic", g.shape))
+            np.multiply(v, mod2, out=v)
+            cubic = g
+        elif cfg.sigma:
+            mod2 = _abs2(g, work)
+            mod2 *= -cfg.sigma * h
+            cubic = np.multiply(g, mod2, out=_scratch(work, "cubic", planes_shape))
         if k_hat is None:
-            k_psi = _analyze(basis, np.multiply(k_grid[..., None], g, out=_scratch(work, "kg", g.shape)), work)
+            kg = np.multiply(g, k_grid.reshape(-1), out=_scratch(work, "kg", planes_shape))
+            k_psi = _analyze(basis, kg.reshape(psi_planes), work)
         else:
             k_psi = np.matmul(k_hat, psi.view(float), out=term.view(float)).view(complex)
         np.multiply(back, k_psi, out=term)
@@ -558,7 +651,7 @@ def picard_solve(
         np.add(flat[:-1], flat[1:], out=acc)
         w_new *= panel_u
         if cfg.sigma:
-            np.multiply(back, _analyze(basis, cubic, work), out=term)
+            np.multiply(back, _analyze(basis, cubic.reshape(psi_planes), work), out=term)
             acc += flat[:-1]
             acc += flat[1:]
         w_new[..., 0] = c0

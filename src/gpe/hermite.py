@@ -55,6 +55,9 @@ class HermiteBasis:
             matrix, shape (N, M); computed once per basis.
         lam: oscillator eigenvalues sum_j (2 k_j + 1), shape (N,) * dim;
             computed once per basis.
+        level: the level |k| = sum_j k_j of each mode, shape (N,) * dim, so
+            that lam = 2 level + dim; it gathers per-level values (see
+            _level_exp) onto the modes.
     """
 
     dim: int
@@ -65,6 +68,7 @@ class HermiteBasis:
     herm_table: np.ndarray
     analysis_table: np.ndarray
     lam: np.ndarray
+    level: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -97,6 +101,11 @@ class GridField:
 
 _LOG2E = 1.0 / np.log(2.0)
 _RENORM_EVERY = 16
+# Past |x| = 2^31 the envelope is below 2^-(3.3e18), and every h_k with
+# k < 10^17 lies below the double range: clamping x there changes no value,
+# keeps x^2 and the envelope's base-2 exponent inside the int64 range, and
+# keeps 16 recurrence steps from overflowing.
+_X_CLAMP = 2.0**31
 
 
 def _envelope_start(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,11 +136,12 @@ def _hermite_pairs(x: np.ndarray, m: int):
     O(1) there.  The mantissas are pulled back to [1/2, 1) every
     _RENORM_EVERY steps and at the last one.  In between, the pair grows by
     at most a factor sqrt(2) |x| + 1 per step, so 16 steps stay inside the
-    double range for every |x| whose envelope exponent fits the int64
-    shift (|x| < 3.5e9), and a power-of-two scaling commutes with the
-    rounding of each step: unless a mantissa underflows, every yielded
-    value equals that of a pull after every step.
+    double range for every |x| up to _X_CLAMP, where x is clamped, and a
+    power-of-two scaling commutes with the rounding of each step: unless a
+    mantissa underflows, every yielded value equals that of a pull after
+    every step.
     """
+    x = np.clip(x, -_X_CLAMP, _X_CLAMP)
     p, shift = _envelope_start(x)
     q = np.sqrt(2.0) * x * p
     yield p, q, shift
@@ -275,8 +285,9 @@ def build_basis(dim: int, n_modes: int, quad_factor: int = 2) -> HermiteBasis:
         )
     nodes, phys, quad = gauss_hermite(m)
     table = hermite_values(n_modes, nodes)
+    level = reduce(np.add.outer, [np.arange(n_modes)] * dim)
     return HermiteBasis(
-        dim, n_modes, nodes, quad, phys, table, table * phys, eigenvalues(dim, n_modes)
+        dim, n_modes, nodes, quad, phys, table, table * phys, eigenvalues(dim, n_modes), level
     )
 
 
@@ -303,7 +314,18 @@ def basis_state(basis: HermiteBasis, k) -> SpectralField:
     return SpectralField(basis.dim, basis.n_modes, coeffs)
 
 
-def _scratch(work: Optional[dict], tag: str, shape: tuple, dtype=complex) -> np.ndarray:
+def _level_exp(basis: HermiteBasis, z: complex) -> np.ndarray:
+    """exp(z * lam), shape (N,) * dim: one exp per distinct eigenvalue, gathered by level.
+
+    Each product z * (2 l + dim) is the one z * lam forms at that mode, so
+    the result equals np.exp(z * lam) bit for bit; a 3D N = 16 basis has 46
+    levels among its 4096 modes, a 2D N = 64 one 127.
+    """
+    levels = 2.0 * np.arange(basis.dim * (basis.n_modes - 1) + 1) + basis.dim
+    return np.exp(z * levels)[basis.level]
+
+
+def _scratch(work: Optional[dict], tag: str, shape: tuple, dtype=float) -> np.ndarray:
     """An array to write into: a new one without a work dict, else the one
     kept in work under (tag, shape), made on first use.  A tag always
     names arrays of one dtype."""
@@ -315,39 +337,84 @@ def _scratch(work: Optional[dict], tag: str, shape: tuple, dtype=complex) -> np.
     return buf
 
 
-def _contract(tab: np.ndarray, a: np.ndarray, dim: int, work: Optional[dict] = None) -> np.ndarray:
-    """Apply the real (out, in) matrix tab along each of the first dim axes of a.
+def _contract(tab: np.ndarray, coeffs: np.ndarray, dim: int, work: Optional[dict] = None) -> np.ndarray:
+    """Planes of sum_k c_k prod_j tab[k_j, i_j] for the real (in, out) table tab.
 
-    Axes past the first dim (a batch) ride along at the end.  Each axis is
-    one real GEMM on a float view of the complex data, so no complex copy
-    of tab is formed; the contracted axis then moves to position dim - 1,
-    which after dim passes restores the axis order.  In 1D that move is the
-    identity and is skipped: at N = 64 it costs more than the GEMM itself.
-    With a work dict (see _scratch) the copies and products go into arrays
-    kept there, so the result is overwritten by the next call with it.
+    coeffs is complex of shape (n_in,) * dim + batch; the result is real of
+    shape batch + (2,) + (n_out,) * dim, the real part at index 0 of the
+    axis before the grid and the imaginary part at index 1.  Each pass is
+    one real GEMM that contracts the leading axis of the previous result,
+    read through its transposed float view, and appends its output axis.
+    The first pass reads the interleaved complex data as a float array
+    whose last axis holds (re, im), so after dim passes the axes stand in
+    the order above and nothing has been copied.  In 1D the one GEMM is
+    taken the other way round, tab.T times the float view: its product,
+    of which the planes are the transposed view, holds the grid values as
+    interleaved complex numbers of shape (n_out,) + batch, which the 1D
+    Strang step rotates with one complex multiply (see
+    dynamics._phase_kernel).  With a work dict (see _scratch) each pass
+    writes into an array kept there, so the result is overwritten by the
+    next call with it.
     """
+    batch, n_in, n_out = coeffs.shape[dim:], tab.shape[0], tab.shape[1]
+    a = np.ascontiguousarray(coeffs, dtype=complex).view(float)
+    if dim == 1:
+        a = a.reshape(n_in, -1)
+        a = np.matmul(tab.T, a, out=_scratch(work, "synthesis", (n_out, a.shape[1])))
+        return a.T.reshape(batch + (2, n_out))
     for _ in range(dim):
-        if not (a.dtype == complex and a.flags.c_contiguous):
-            buf = _scratch(work, "in", a.shape)
-            np.copyto(buf, a)
-            a = buf
-        rest = a.shape[1:]
-        flat = a.reshape(a.shape[0], -1).view(float)
-        out = _scratch(work, "out", (tab.shape[0], flat.shape[1]), float)
-        a = np.matmul(tab, flat, out=out).view(complex).reshape((tab.shape[0],) + rest)
-        if dim > 1:
-            a = np.moveaxis(a, 0, dim - 1)
-    return a
+        a = a.reshape(n_in, -1)
+        a = np.matmul(a.T, tab, out=_scratch(work, "synthesis", (a.shape[1], n_out)))
+    return a.reshape(batch + (2,) + (n_out,) * dim)
 
 
 def _synthesize(basis: HermiteBasis, coeffs: np.ndarray, work: Optional[dict] = None) -> np.ndarray:
-    """Grid values of coefficients of shape (N,) * dim; trailing batch axes ride along."""
-    return _contract(basis.herm_table.T, coeffs, basis.dim, work)
+    """Grid planes, shape batch + (2,) + (M,) * dim, of coefficients of shape (N,) * dim + batch."""
+    return _contract(basis.herm_table, coeffs, basis.dim, work)
 
 
-def _analyze(basis: HermiteBasis, values: np.ndarray, work: Optional[dict] = None) -> np.ndarray:
-    """Coefficients of grid values of shape (M,) * dim; trailing batch axes ride along."""
-    return _contract(basis.analysis_table, values, basis.dim, work)
+def _analyze(basis: HermiteBasis, planes: np.ndarray, work: Optional[dict] = None) -> np.ndarray:
+    """Coefficients, shape (N,) * dim + batch, of grid planes of shape batch + (2,) + (M,) * dim.
+
+    The mirror of _contract: each pass is one real GEMM of analysis_table
+    with the transposed view of the previous result's trailing axis, and
+    puts its output axis first, so after dim passes the (re, im) axis is
+    last and the float result is read as interleaved complex coefficients.
+    The planes may be stored either way round in 1D: both give views.
+    """
+    tab, dim = basis.analysis_table, basis.dim
+    batch = planes.shape[: planes.ndim - dim - 1]
+    a = planes
+    for _ in range(dim):
+        a = a.reshape(-1, tab.shape[1])
+        a = np.matmul(tab, a.T, out=_scratch(work, "analysis", (tab.shape[0], a.shape[0])))
+    return a.view(complex).reshape((tab.shape[0],) * dim + batch)
+
+
+def _abs2(planes: np.ndarray, work: Optional[dict] = None) -> np.ndarray:
+    """re^2 + im^2 of planes of shape batch + (2, P), shape batch + (1, P).
+
+    The result is a view into _scratch(work, "tmp", planes.shape).
+    """
+    sq = np.square(planes, out=_scratch(work, "tmp", planes.shape))
+    return np.add(sq[..., :1, :], sq[..., 1:, :], out=sq[..., :1, :])
+
+
+def _interleaved(planes: np.ndarray) -> Optional[np.ndarray]:
+    """The grid values of 1D planes stored as _contract stores them, as a
+    complex view of shape (M,) + batch; None for planes stored plane by plane."""
+    m = planes.shape[-1]
+    values = planes.reshape(-1, m).T
+    if not values.flags.c_contiguous:
+        return None
+    return values.view(complex).reshape((m,) + planes.shape[:-2])
+
+
+def _to_complex(planes: np.ndarray) -> np.ndarray:
+    """Complex values of planes of shape (2,) + grid."""
+    v = np.empty(planes.shape[1:], complex)
+    v.real, v.imag = planes
+    return v
 
 
 def _check_fit(basis: HermiteBasis, f: SpectralField, name: str = "field") -> None:
@@ -362,7 +429,7 @@ def _check_fit(basis: HermiteBasis, f: SpectralField, name: str = "field") -> No
 def to_grid(basis: HermiteBasis, f: SpectralField) -> GridField:
     """Synthesis: values_i = sum_k c_k prod_j h_{k_j}(x_{i_j}).  Linear in f."""
     _check_fit(basis, f)
-    return GridField(basis.dim, _synthesize(basis, f.coeffs))
+    return GridField(basis.dim, _to_complex(_synthesize(basis, f.coeffs)))
 
 
 def to_spectral(basis: HermiteBasis, g: GridField) -> SpectralField:
@@ -372,11 +439,11 @@ def to_spectral(basis: HermiteBasis, g: GridField) -> SpectralField:
         raise ConfigError(
             f"grid shape {g.values.shape} does not match basis nodes {shape}"
         )
-    return SpectralField(basis.dim, basis.n_modes, _analyze(basis, g.values))
+    return SpectralField(basis.dim, basis.n_modes, _analyze(basis, np.stack((g.values.real, g.values.imag))))
 
 
 def _quad_sum(basis: HermiteBasis, v: np.ndarray) -> np.ndarray:
-    """Tensor quadrature sum over the first dim (grid) axes of v; trailing batch axes ride along."""
+    """Tensor quadrature sum over the last dim (grid) axes of v; leading batch axes ride along."""
     for _ in range(basis.dim):
-        v = np.tensordot(v, basis.phys_weights, axes=(0, 0))
+        v = v @ basis.phys_weights
     return v

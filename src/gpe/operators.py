@@ -19,8 +19,10 @@ from .hermite import (
     GridField,
     HermiteBasis,
     SpectralField,
+    _abs2,
     _check_fit,
     _contract,
+    _level_exp,
     _quad_sum,
     _synthesize,
     eigenvalues,  # noqa: F401  (re-exported: gpe.operators.eigenvalues)
@@ -88,14 +90,14 @@ def sup_norm_refined(
         n_pts = min(n_pts, 128)
     xs = np.linspace(-x_max, x_max, n_pts)
     table = hermite_values(basis.n_modes, xs)
-    v = _contract(table.T, f.coeffs * basis.lam ** (s / 2.0), basis.dim)
-    return float(np.max(np.abs(v)))
+    v = _contract(table, f.coeffs * basis.lam ** (s / 2.0), basis.dim)
+    return math.sqrt(np.max(_abs2(v.reshape(2, -1))))
 
 
 def free_propagate(basis: HermiteBasis, f: SpectralField, t: float) -> SpectralField:
     """Exact free flow: c_k -> exp(i lam_k t) c_k.  Isometric in every H^s."""
     _check_fit(basis, f)
-    return SpectralField(f.dim, f.n_modes, f.coeffs * np.exp(1j * basis.lam * t))
+    return SpectralField(f.dim, f.n_modes, f.coeffs * _level_exp(basis, 1j * t))
 
 
 # The most trapezoid panels kato_functional takes.  Its two exponential tables hold about
@@ -149,8 +151,7 @@ def kato_functional(
     ts = np.linspace(t0, t1, n_time + 1)
 
     amp = phi.coeffs * basis.lam ** (beta / 2.0)
-    level = np.indices(amp.shape).sum(axis=0)
-    levels = np.flatnonzero(np.bincount(level[amp != 0]))
+    levels = np.flatnonzero(np.bincount(basis.level[amp != 0]))
     if levels.size == 0:
         return 0.0
 
@@ -173,9 +174,13 @@ def kato_functional(
         a, hs = amp[levels], basis.herm_table[levels]
         total = np.vdot(a, a @ (((hs * wx) @ hs.T) * s_gap))
     else:
-        parts = np.where(level[..., None] == levels, amp[..., None], 0.0)
-        g = _synthesize(basis, parts).reshape(-1, levels.size)
-        total = np.sum(((g * wx.reshape(-1, 1)).T @ g.conj()) * s_gap)
+        # with g_l = r_l + i m_l on the grid, Re Q = r W r^T + m W m^T and
+        # Im Q = m W r^T - r W m^T, four real GEMMs over the level planes
+        parts = np.where(basis.level[..., None] == levels, amp[..., None], 0.0)
+        g = _synthesize(basis, parts).reshape(levels.size, 2, -1)
+        r, m = g[:, 0], g[:, 1]
+        rw, mw = r * wx.reshape(-1), m * wx.reshape(-1)
+        total = np.sum((rw @ r.T + mw @ m.T) * s_gap.real - (mw @ r.T - rw @ m.T) * s_gap.imag)
     return math.sqrt(max(float(total.real), 0.0))
 
 

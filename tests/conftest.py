@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gpe.hermite import build_basis, spectral_field
@@ -27,3 +28,16 @@ def random_spectral(basis, rng, decay=0.0):
 
         c = c * eigenvalues(basis.dim, basis.n_modes) ** -decay
     return spectral_field(basis, c)
+
+
+def to_planes(v, dim):
+    """Complex values of shape grid + batch as the planes batch + (2,) + grid of the transforms."""
+    p = np.stack((v.real, v.imag))
+    return np.ascontiguousarray(np.moveaxis(p, range(1 + dim, p.ndim), range(p.ndim - 1 - dim)))
+
+
+def from_planes(p, dim):
+    """Planes batch + (2,) + grid as complex values of shape grid + batch."""
+    nb = p.ndim - 1 - dim
+    v = np.take(p, 0, axis=nb) + 1j * np.take(p, 1, axis=nb)
+    return np.moveaxis(v, range(nb), range(dim, dim + nb))

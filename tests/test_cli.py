@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,8 @@ def test_negative_dt_names_field(tmp_path, capsys):
         ("kato_scan_unread_sim", "config.sim"),
         ("simulate_dt_tiny", "dt"),
         ("kato_scan_n_time_huge", "n_time"),
+        ("simulate_n_records_huge", "n_records"),
+        ("attainable_n_samples_huge", "n_samples"),
     ],
 )
 def test_bad_config_names_key(tmp_path, capsys, fixture, key):
@@ -130,6 +133,20 @@ def test_bad_config_names_key(tmp_path, capsys, fixture, key):
     assert err.startswith("config error: ")
     assert key in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_huge_counts_exit_2_before_allocating(tmp_path, capsys):
+    # 10^12 records or samples: the refusal comes before the record grid or
+    # the draws, so the run allocates next to nothing
+    for fixture in ("simulate_n_records_huge", "attainable_n_samples_huge"):
+        tracemalloc.start()
+        try:
+            code = run(str(DATA / "bad_configs" / f"{fixture}.json"), output_override=str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2**20
 
 
 def test_smoothing_checks_before_simulate(tmp_path, monkeypatch):

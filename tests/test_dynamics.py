@@ -18,10 +18,10 @@ from gpe.dynamics import (
     picard_solve,
     simulate,
 )
-from gpe.hermite import ConfigError, GridField, basis_state, build_basis, spectral_field
+from gpe.hermite import ConfigError, GridField, _level_exp, basis_state, build_basis, spectral_field
 from gpe.operators import free_propagate
 
-from conftest import random_spectral
+from conftest import from_planes, random_spectral, to_planes
 
 
 def strang_step(basis, state, t, dt, cfg):
@@ -86,6 +86,101 @@ def test_grid_nonlinear_phase_constant_modulus():
     dt = 0.2
     out = grid_nonlinear_phase(GridField(1, v.copy()), 1, np.zeros(16), 0.0, dt)
     assert np.max(np.abs(out.values - v * np.exp(1j * a**2 * dt))) <= 1e-14
+
+
+def rotation_tables(theta, n_points):
+    cos, sin = np.empty_like(theta), np.empty_like(theta)
+    dynamics._cos_sin(theta, n_points, cos, sin)
+    return cos, sin
+
+
+def test_rotation_polynomial_within_one_ulp():
+    # |theta| <= 1/32 on a grid of 4096 points or more takes the Taylor
+    # polynomials: within 1 ulp of np.cos / np.sin, and not always equal
+    theta = np.random.default_rng(5).uniform(-1.0 / 32, 1.0 / 32, 200_000)
+    cos, sin = rotation_tables(theta, dynamics._POLY_MIN_POINTS)
+    want_cos, want_sin = np.cos(theta), np.sin(theta)
+    assert np.all(np.abs(cos - want_cos) <= np.spacing(want_cos))
+    assert np.all(np.abs(sin - want_sin) <= np.spacing(np.abs(want_sin)))
+    assert np.any(sin != want_sin)
+
+
+def test_rotation_polynomial_bit_identical_for_small_phases():
+    theta = np.random.default_rng(6).uniform(-1e-3, 1e-3, 200_000)
+    cos, sin = rotation_tables(theta, dynamics._POLY_MIN_POINTS)
+    assert np.array_equal(cos, np.cos(theta)) and np.array_equal(sin, np.sin(theta))
+
+
+@pytest.mark.parametrize("case", ["past_1/32", "below_4096_points"])
+def test_rotation_exact_outside_polynomial_range(case):
+    theta = np.random.default_rng(7).uniform(-1.0 / 32, 1.0 / 32, 200_000)
+    n_points = dynamics._POLY_MIN_POINTS
+    if case == "past_1/32":
+        theta[17] = -np.nextafter(1.0 / 32, 1.0)
+    else:
+        n_points -= 1
+    cos, sin = rotation_tables(theta, n_points)
+    assert np.array_equal(cos, np.cos(theta)) and np.array_equal(sin, np.sin(theta))
+
+
+@pytest.mark.parametrize("sigma", [-1, 0, 1])
+@pytest.mark.parametrize("members", [None, 3])
+def test_phase_kernel_1d_layouts_agree(sigma, members):
+    # 1D planes from _synthesize hold interleaved complex values and take the
+    # complex multiply; the same planes stored plane by plane take the real
+    # rotation; both apply exp(-i theta)
+    basis = build_basis(1, 32)
+    rng = np.random.default_rng(8)
+    shape = (32,) if members is None else (32, members)
+    c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 0.3
+    k = make_potential(basis, "gaussian_bump").grid_values
+    u = 0.37 if members is None else np.array([0.37, -0.2, 0.0])
+    planes = dynamics._synthesize(basis, c)
+    assert dynamics._interleaved(planes) is not None
+    stacked = np.ascontiguousarray(planes)
+    assert dynamics._interleaved(stacked) is None
+    v = from_planes(planes, 1)
+    got = dynamics._phase_kernel(planes, sigma, k, u, 0.05)
+    assert np.max(np.abs(dynamics._phase_kernel(stacked, sigma, k, u, 0.05) - got)) <= 1e-15
+    theta = np.multiply.outer(k, u) - sigma * np.abs(v) ** 2 * 0.05
+    assert np.max(np.abs(from_planes(got, 1) - v * np.exp(-1j * theta))) <= 1e-15
+
+
+@pytest.mark.parametrize("dim, n_modes", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize("t", [0.0, 1e-3, -0.37, 2.5, 1e4])
+def test_level_phases_bit_identical(dim, n_modes, t):
+    basis = build_basis(dim, n_modes)
+    assert np.array_equal(basis.lam, 2.0 * basis.level + dim)
+    assert np.array_equal(_level_exp(basis, 1j * t), np.exp(1j * basis.lam * t))
+    f = random_spectral(basis, np.random.default_rng(9))
+    assert np.array_equal(free_propagate(basis, f, t).coeffs, f.coeffs * np.exp(1j * basis.lam * t))
+    cfg = bump_config(basis, t_final=1.0, dt=abs(t) or 1e-3)
+    stepper = dynamics._StrangStepper(basis, cfg, cfg.dt)
+    assert np.array_equal(stepper.half_phase, np.exp(0.5j * basis.lam * cfg.dt))
+
+
+def test_cubic_3d_steps_and_records_allocate_no_grid():
+    # after the first step and the first record, neither a step nor a record
+    # of a 3D N = 16 cubic run allocates an array the size of the grid
+    basis = build_basis(3, 16)
+    cfg = bump_config(basis, sigma=-1, t_final=0.01, dt=1e-3)
+    stepper = dynamics._StrangStepper(basis, cfg, cfg.dt)
+    psi0 = make_initial_state(basis, cfg.initial_state)
+    c = stepper.step(psi0.coeffs, 3e-4)
+    dynamics._record(basis, cfg, 1e-3, c, psi0, stepper.work)
+    grid_bytes = 8 * basis.n_nodes**3
+    tracemalloc.start()
+    try:
+        for call in (
+            lambda: stepper.step(c, 2e-4),
+            lambda: dynamics._record(basis, cfg, 2e-3, c, psi0, stepper.work),
+        ):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            assert tracemalloc.get_traced_memory()[1] - start < grid_bytes
+    finally:
+        tracemalloc.stop()
 
 
 def test_strang_step_free_flow_limit(basis64):
@@ -316,11 +411,11 @@ def iterate_on_psi(basis, cfg, t_final, psi0, t_offset=0.0):
     ku = np.multiply.outer(cfg.potential.grid_values, cfg.control(t_offset + ts))
     psi, dists = free.copy(), []
     for it in range(cfg.picard_max_iter):
-        grids = dynamics._synthesize(basis, psi)
+        grids = from_planes(dynamics._synthesize(basis, psi), basis.dim)
         f = ku * grids
         if cfg.sigma:
             f -= cfg.sigma * np.abs(grids) ** 2 * grids
-        fc = np.conj(phases) * (-1j * dynamics._analyze(basis, f))
+        fc = np.conj(phases) * (-1j * dynamics._analyze(basis, to_planes(f, basis.dim)))
         integral = np.zeros_like(fc)
         integral[..., 1:] = np.cumsum(0.5 * h * (fc[..., :-1] + fc[..., 1:]), axis=-1)
         new = free + phases * integral

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -26,7 +27,7 @@ from gpe.hermite import (
 
 from gpe.operators import lp_norm
 
-from conftest import random_spectral
+from conftest import random_spectral, to_planes
 
 
 def hermite_fn_reference(k, x):
@@ -165,6 +166,16 @@ def hermite_pairs_per_step(x, m):
         yield p, q, shift
 
 
+def test_hermite_values_far_out_are_zero_without_warnings():
+    # |x| past 3.6e9 once overflowed the envelope's int64 exponent, and
+    # 1e300 overflows x^2: both are clamped, and every value is 0
+    x = np.array([4e9, -4e9, 1e300, -1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = hermite_values(40, x)
+    assert np.array_equal(table, np.zeros((40, 4)))
+
+
 @pytest.mark.parametrize("m", [2, 3, 16, 17, 33, 64, 257, 1024, 2048])
 def test_delayed_renorm_is_bit_identical(m):
     nodes = gauss_hermite(m)[0]
@@ -299,8 +310,12 @@ def naive_transform(tab, x, dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("batch", [None, 3, pytest.param((2, 3), id="2x3")])
+@pytest.mark.parametrize(
+    "batch", [None, 3, pytest.param((2, 3), id="2x3"), pytest.param(41, id="time41")]
+)
 def test_transform_pair_matches_einsum(dim, batch):
+    # a trailing member axis (3) or Picard's trailing time axis (41) rides
+    # along; on the grid side it leads, before the (re, im) axis
     b = build_basis(dim, {1: 24, 2: 12, 3: 6}[dim], 2)
     trail = () if batch is None else np.atleast_1d(batch).tolist()
     rng = np.random.default_rng(10 * dim + sum(trail))
@@ -311,14 +326,14 @@ def test_transform_pair_matches_einsum(dim, batch):
 
     c = draw(b.n_modes)
     got = _synthesize(b, c)
-    expect = naive_transform(b.herm_table.T, c, dim)
-    assert got.shape == expect.shape
-    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+    expect = to_planes(naive_transform(b.herm_table.T, c, dim), dim)
+    assert got.shape == expect.shape == tuple(trail) + (2,) + (b.n_nodes,) * dim
+    assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
     v = draw(b.n_nodes)
     weighted = b.herm_table * b.phys_weights
     assert np.array_equal(b.analysis_table, weighted)
-    got = _analyze(b, v)
+    got = _analyze(b, to_planes(v, dim))
     expect = naive_transform(weighted, v, dim)
     assert got.shape == expect.shape
-    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+    assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))

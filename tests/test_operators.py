@@ -206,9 +206,9 @@ def kato_time_slices(basis, phi, beta, t_window, n_time):
     """The functional by synthesis of every time slice and np.trapezoid over them."""
     ts = np.linspace(t_window[0], t_window[1], n_time + 1)
     amp = phi.coeffs * basis.lam ** (beta / 2.0)
-    grids = _synthesize(basis, np.exp(1j * np.multiply.outer(basis.lam, ts)) * amp[..., None])
+    planes = _synthesize(basis, np.exp(1j * np.multiply.outer(basis.lam, ts)) * amp[..., None])
     r2 = reduce(np.add.outer, [basis.nodes**2] * basis.dim)
-    dens = _quad_sum(basis, np.abs(grids) ** 2 / np.sqrt(1.0 + r2)[..., None])
+    dens = _quad_sum(basis, (planes[:, 0] ** 2 + planes[:, 1] ** 2) / np.sqrt(1.0 + r2))
     return float(np.sqrt(np.trapezoid(dens, ts)))
 
 
