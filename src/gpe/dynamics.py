@@ -35,6 +35,7 @@ from .hermite import (
     _scratch,
     _synthesize,
     _to_complex,
+    _to_planes,
     basis_state,
     spectral_field,
 )
@@ -201,8 +202,7 @@ def grid_nonlinear_phase(
     values -> exp(-i (K * U - sigma |values|^2 * dt)) * values, with
     U the integral of u over the step.  Moduli are unchanged to roundoff.
     """
-    v = values.values
-    planes = _phase_kernel(np.stack((v.real, v.imag)), sigma, k_values, u_integral, dt)
+    planes = _phase_kernel(_to_planes(values.values), sigma, k_values, u_integral, dt)
     return GridField(values.dim, _to_complex(planes))
 
 
@@ -252,16 +252,16 @@ def _phase_kernel(
     planes has shape batch + (2,) + grid and k_values the grid's shape;
     u_int is a number or holds one integral per member, shaped as the
     batch.  The rotation is v -> exp(-i theta) v, and its arrays come from
-    _scratch(work).  1D planes as _synthesize stores them hold interleaved
-    complex values (see _interleaved), and are multiplied by exp(-i theta)
-    as complex numbers; other planes take (re cos theta + im sin theta,
+    _scratch(work).  1D planes, which _synthesize stores as interleaved
+    complex values (see _interleaved), are multiplied by exp(-i theta) as
+    complex numbers; 2D and 3D planes take (re cos theta + im sin theta,
     im cos theta - re sin theta).  That takes four real passes where the
     complex multiply takes one, which costs a 1D step, whose grid has too
     few points to share the cost of the calls.
     """
     m = k_values.size
-    v = _interleaved(planes)
-    if v is not None:
+    if k_values.ndim == 1:
+        v = _interleaved(planes)
         k = k_values.reshape((m,) + (1,) * (v.ndim - 1))
         # -theta, whose cos and sin are the parts of exp(-i theta)
         theta = np.multiply(k, -u_int, out=_scratch(work, "theta", v.shape))
@@ -625,16 +625,7 @@ def picard_solve(
         np.multiply(phases, w, out=psi)
         if cfg.sigma or k_hat is None:
             g = _synthesize(basis, psi, work).reshape(planes_shape)  # (time, re/im, point)
-        if cfg.sigma and k_hat is not None:
-            # 1D: g holds the grid values as interleaved complex numbers, and
-            # the cubic term overwrites them, as one complex multiply
-            v = _interleaved(g)
-            mod2 = np.square(v.real, out=_scratch(work, "mod2", v.shape))
-            mod2 += np.square(v.imag, out=_scratch(work, "im2", v.shape))
-            mod2 *= -cfg.sigma * h
-            np.multiply(v, mod2, out=v)
-            cubic = g
-        elif cfg.sigma:
+        if cfg.sigma:
             mod2 = _abs2(g, work)
             mod2 *= -cfg.sigma * h
             cubic = np.multiply(g, mod2, out=_scratch(work, "cubic", planes_shape))

@@ -400,14 +400,18 @@ def _abs2(planes: np.ndarray, work: Optional[dict] = None) -> np.ndarray:
     return np.add(sq[..., :1, :], sq[..., 1:, :], out=sq[..., :1, :])
 
 
-def _interleaved(planes: np.ndarray) -> Optional[np.ndarray]:
+def _interleaved(planes: np.ndarray) -> np.ndarray:
     """The grid values of 1D planes stored as _contract stores them, as a
-    complex view of shape (M,) + batch; None for planes stored plane by plane."""
+    complex view of shape (M,) + batch."""
     m = planes.shape[-1]
-    values = planes.reshape(-1, m).T
-    if not values.flags.c_contiguous:
-        return None
-    return values.view(complex).reshape((m,) + planes.shape[:-2])
+    return planes.reshape(-1, m).T.view(complex).reshape((m,) + planes.shape[:-2])
+
+
+def _to_planes(values: np.ndarray) -> np.ndarray:
+    """A copy of complex grid values as planes (2,) + grid, stored as _contract stores them."""
+    if values.ndim == 1:
+        return np.array(values, complex).view(float).reshape(-1, 2).T
+    return np.stack((values.real, values.imag))
 
 
 def _to_complex(planes: np.ndarray) -> np.ndarray:
@@ -439,7 +443,7 @@ def to_spectral(basis: HermiteBasis, g: GridField) -> SpectralField:
         raise ConfigError(
             f"grid shape {g.values.shape} does not match basis nodes {shape}"
         )
-    return SpectralField(basis.dim, basis.n_modes, _analyze(basis, np.stack((g.values.real, g.values.imag))))
+    return SpectralField(basis.dim, basis.n_modes, _analyze(basis, _to_planes(g.values)))
 
 
 def _quad_sum(basis: HermiteBasis, v: np.ndarray) -> np.ndarray:

@@ -125,10 +125,9 @@ def test_rotation_exact_outside_polynomial_range(case):
 
 @pytest.mark.parametrize("sigma", [-1, 0, 1])
 @pytest.mark.parametrize("members", [None, 3])
-def test_phase_kernel_1d_layouts_agree(sigma, members):
-    # 1D planes from _synthesize hold interleaved complex values and take the
-    # complex multiply; the same planes stored plane by plane take the real
-    # rotation; both apply exp(-i theta)
+def test_phase_kernel_1d_matches_exp(sigma, members):
+    # 1D planes from _synthesize hold interleaved complex values, which the
+    # kernel multiplies by exp(-i theta) in place
     basis = build_basis(1, 32)
     rng = np.random.default_rng(8)
     shape = (32,) if members is None else (32, members)
@@ -136,14 +135,24 @@ def test_phase_kernel_1d_layouts_agree(sigma, members):
     k = make_potential(basis, "gaussian_bump").grid_values
     u = 0.37 if members is None else np.array([0.37, -0.2, 0.0])
     planes = dynamics._synthesize(basis, c)
-    assert dynamics._interleaved(planes) is not None
-    stacked = np.ascontiguousarray(planes)
-    assert dynamics._interleaved(stacked) is None
     v = from_planes(planes, 1)
     got = dynamics._phase_kernel(planes, sigma, k, u, 0.05)
-    assert np.max(np.abs(dynamics._phase_kernel(stacked, sigma, k, u, 0.05) - got)) <= 1e-15
+    assert np.shares_memory(got, planes)
     theta = np.multiply.outer(k, u) - sigma * np.abs(v) ** 2 * 0.05
     assert np.max(np.abs(from_planes(got, 1) - v * np.exp(-1j * theta))) <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_nonlinear_phase_leaves_input(dim):
+    # the public phase copies the values into planes of the transforms' layout
+    rng = np.random.default_rng(9)
+    v = rng.standard_normal((16,) * dim) + 1j * rng.standard_normal((16,) * dim)
+    k = rng.standard_normal((16,) * dim)
+    before = v.copy()
+    out = grid_nonlinear_phase(GridField(dim, v), 1, k, 0.3, 0.05)
+    assert np.array_equal(v, before)
+    theta = k * 0.3 - np.abs(v) ** 2 * 0.05
+    assert np.max(np.abs(out.values - v * np.exp(-1j * theta))) <= 1e-15
 
 
 @pytest.mark.parametrize("dim, n_modes", [(1, 64), (2, 16), (3, 8)])
