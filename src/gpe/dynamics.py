@@ -27,13 +27,14 @@ from .hermite import (
     HermiteBasis,
     SpectralField,
     _abs2,
-    _analyze,
+    _analysis_gemms,
     _check_fit,
-    _interleaved,
+    _GridPlanes,
     _level_exp,
+    _Plan,
     _quad_sum,
-    _scratch,
-    _synthesize,
+    _run,
+    _synthesis_gemms,
     _to_complex,
     _to_planes,
     basis_state,
@@ -201,8 +202,18 @@ def grid_nonlinear_phase(
 
     values -> exp(-i (K * U - sigma |values|^2 * dt)) * values, with
     U the integral of u over the step.  Moduli are unchanged to roundoff.
+    k_values must have the shape of the grid values, sigma be -1, 0 or 1,
+    and u_integral and dt be finite; ConfigError otherwise.
     """
-    planes = _phase_kernel(_to_planes(values.values), sigma, k_values, u_integral, dt)
+    if np.shape(k_values) != values.values.shape:
+        raise ConfigError(f"k_values shape {np.shape(k_values)} does not match the grid values {values.values.shape}")
+    if sigma not in (-1, 0, 1):
+        raise ConfigError(f"sigma must be -1, 0 or 1, got {sigma}")
+    for name, value in (("u_integral", u_integral), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+    planes = _to_planes(values.values)
+    _phase_kernel(_GridPlanes(planes, values.dim), sigma, np.asarray(k_values, float), u_integral, dt)
     return GridField(values.dim, _to_complex(planes))
 
 
@@ -220,13 +231,14 @@ _SIN_TAYLOR = (-1.0 / 6, 1.0 / 120, -1.0 / 5040)
 _SWAP_SIGNS = np.array([[1.0], [-1.0]])
 
 
-def _cos_sin(theta: np.ndarray, n_points: int, cos: np.ndarray, sin: np.ndarray, work: Optional[dict] = None):
-    """Write cos theta and sin theta into cos and sin; see _POLY_THETA_MAX."""
+def _cos_sin(theta: np.ndarray, n_points: int, cos: np.ndarray, sin: np.ndarray, theta2: Optional[np.ndarray] = None):
+    """Write cos theta and sin theta into cos and sin; see _POLY_THETA_MAX.  The
+    polynomials write theta^2 into theta2 (a new array if None)."""
     if n_points < _POLY_MIN_POINTS or not max(theta.max(), -theta.min()) <= _POLY_THETA_MAX:
         np.cos(theta, out=cos)
         np.sin(theta, out=sin)
         return
-    z = np.square(theta, out=_scratch(work, "theta2", theta.shape))
+    z = np.square(theta, out=theta2)
     c0, c2, c4, c6, c8 = _COS_TAYLOR
     np.multiply(z, c8, out=cos)
     for c in (c6, c4, c2):
@@ -244,50 +256,46 @@ def _cos_sin(theta: np.ndarray, n_points: int, cos: np.ndarray, sin: np.ndarray,
     sin += theta
 
 
-def _phase_kernel(
-    planes: np.ndarray, sigma: int, k_values: np.ndarray, u_int, dt: float, work: Optional[dict] = None
-) -> np.ndarray:
-    """Rotate grid planes in place by theta = K u_int - sigma |v|^2 dt and return them.
+def _phase_kernel(g: _GridPlanes, sigma: int, k_values: np.ndarray, u_int, dt: float) -> np.ndarray:
+    """Rotate g.planes in place by theta = K u_int - sigma |v|^2 dt and return them.
 
-    planes has shape batch + (2,) + grid and k_values the grid's shape;
+    The planes have shape batch + (2,) + grid and k_values the grid's shape;
     u_int is a number or holds one integral per member, shaped as the
-    batch.  The rotation is v -> exp(-i theta) v, and its arrays come from
-    _scratch(work).  1D planes, which _synthesize stores as interleaved
-    complex values (see _interleaved), are multiplied by exp(-i theta) as
-    complex numbers; 2D and 3D planes take (re cos theta + im sin theta,
-    im cos theta - re sin theta).  That takes four real passes where the
-    complex multiply takes one, which costs a 1D step, whose grid has too
-    few points to share the cost of the calls.
+    batch.  The rotation is v -> exp(-i theta) v, written with g's work
+    arrays.  1D planes, which _synthesize stores as interleaved complex
+    values (g.values), are multiplied by exp(-i theta) as complex numbers;
+    2D and 3D planes take (re cos theta + im sin theta, im cos theta - re
+    sin theta).  That takes four real passes where the complex multiply
+    takes one, which costs a 1D step, whose grid has too few points to
+    share the cost of the calls.
     """
     m = k_values.size
-    if k_values.ndim == 1:
-        v = _interleaved(planes)
+    if g.values is not None:
+        v = g.values
         k = k_values.reshape((m,) + (1,) * (v.ndim - 1))
         # -theta, whose cos and sin are the parts of exp(-i theta)
-        theta = np.multiply(k, -u_int, out=_scratch(work, "theta", v.shape))
+        theta = np.multiply(k, -u_int, out=g.theta)
         if sigma:
-            mod2 = np.abs(v, out=_scratch(work, "tmp", v.shape))
+            mod2 = np.abs(v, out=g.mod)
             np.square(mod2, out=mod2)
             np.multiply(mod2, sigma * dt, out=mod2)  # equals (sigma |v|^2) dt bit for bit at sigma = +-1
             np.add(theta, mod2, out=theta)
-        rot = _scratch(work, "rot", v.shape, complex)
-        _cos_sin(theta, m, rot.real, rot.imag, work)
-        np.multiply(v, rot, out=v)
-        return planes
-    q = planes.reshape(planes.shape[: planes.ndim - k_values.ndim] + (m,))
+        _cos_sin(theta, m, g.cos, g.sin, g.theta2)
+        np.multiply(v, g.rot, out=v)
+        return g.planes
+    q = g.q
     u = np.reshape(u_int, np.shape(u_int) + (1, 1))
-    theta = np.multiply(k_values.reshape(-1), u, out=_scratch(work, "theta", q.shape[:-2] + (1, m)))
+    theta = np.multiply(k_values.reshape(-1), u, out=g.theta)
     if sigma:
-        mod2 = _abs2(q, work)
+        mod2 = g.abs2()
         np.multiply(mod2, sigma * dt, out=mod2)
         np.subtract(theta, mod2, out=theta)
-    cos, sin = _scratch(work, "cos", theta.shape), _scratch(work, "sin", theta.shape)
-    _cos_sin(theta, m, cos, sin, work)
-    swap = np.multiply(q[..., ::-1, :], sin, out=_scratch(work, "tmp", q.shape))
+    _cos_sin(theta, m, g.cos, g.sin, g.theta2)
+    swap = np.multiply(q[..., ::-1, :], g.sin, out=g.tmp)
     swap *= _SWAP_SIGNS  # (im sin, -re sin)
-    q *= cos
+    q *= g.cos
     q += swap
-    return planes
+    return g.planes
 
 
 # Step integrals this close, relative to the first of a run, give one step map.
@@ -303,21 +311,29 @@ class _StrangStepper:
         self.dt = dt
         self.half_phase = _level_exp(basis, 0.5j * dt)
         self.k_values = cfg.potential.grid_values
-        # Every step, and every record of simulate, reuses these grid-sized
-        # arrays.  2D and 3D grids pass glibc's 128 KB mmap threshold, and
-        # allocating them afresh made a 3D N = 16 cubic step about 1.5x slower.
-        self.work = {}
+        # Every step of one batch width, and every record of simulate, reuses
+        # the plan's arrays.  2D and 3D grids pass glibc's 128 KB mmap
+        # threshold, and allocating them afresh made a 3D N = 16 cubic step
+        # about 1.5x slower.
+        self._bind(())
+
+    def _bind(self, batch: tuple) -> None:
+        """Bind a plan for coefficients with trailing batch axes batch."""
+        self.plan = _Plan(self.basis, batch)
+        self._half = self.half_phase.reshape(self.half_phase.shape + (1,) * len(batch))
 
     def step(self, coeffs: np.ndarray, u_int) -> np.ndarray:
         """One step over which the control integrates to u_int.  coeffs may
         carry a trailing member axis, and u_int then holds one integral per
-        member."""
-        half_phase = self.half_phase
-        if coeffs.ndim > self.basis.dim:
-            half_phase = half_phase[..., None]
-        v = _synthesize(self.basis, half_phase * coeffs, self.work)
-        v = _phase_kernel(v, self.cfg.sigma, self.k_values, u_int, self.dt, self.work)
-        return half_phase * _analyze(self.basis, v, self.work)
+        member; a new member count binds a new plan."""
+        if coeffs.shape != self.plan.c.shape:
+            self._bind(coeffs.shape[self.basis.dim :])
+        plan, half = self.plan, self._half
+        np.multiply(half, coeffs, out=plan.c)
+        _run(plan.synthesis)
+        _phase_kernel(plan, self.cfg.sigma, self.k_values, u_int, self.dt)
+        _run(plan.analysis)
+        return np.multiply(half, plan.out)
 
     def march(self, coeffs: np.ndarray, u_ints: np.ndarray):
         """Yield (j, state after step j) for j = 1 .. len(u_ints); the control
@@ -377,12 +393,18 @@ def energy(basis: HermiteBasis, state: SpectralField) -> float:
 
     Invariant of the exact flow for the defocusing equation with u = 0.
     """
-    return _energy(basis, state.coeffs, _grid_abs2(basis, state.coeffs))
+    _check_fit(basis, state, "state")
+    return _energy(basis, state.coeffs, _grid_abs2(_Plan(basis), state.coeffs))
 
 
-def _grid_abs2(basis: HermiteBasis, coeffs: np.ndarray, work: Optional[dict] = None) -> np.ndarray:
-    """|v|^2 = re^2 + im^2 at the grid points, shape (1, M^dim), of the state with coefficients coeffs."""
-    return _abs2(_synthesize(basis, coeffs, work).reshape(2, -1), work)
+def _grid_abs2(plan: _Plan, coeffs: np.ndarray) -> np.ndarray:
+    """|v|^2 = re^2 + im^2 at the grid points, shape (1, M^dim), of the state with coefficients coeffs.
+
+    The plan has no batch axes; the result is a view of plan.tmp.
+    """
+    np.copyto(plan.c, coeffs)
+    _run(plan.synthesis)
+    return plan.abs2()
 
 
 def _energy(basis: HermiteBasis, coeffs: np.ndarray, mod2: np.ndarray) -> float:
@@ -394,20 +416,15 @@ def _energy(basis: HermiteBasis, coeffs: np.ndarray, mod2: np.ndarray) -> float:
 
 
 def _record(
-    basis: HermiteBasis,
-    cfg: SimConfig,
-    t: float,
-    coeffs: np.ndarray,
-    psi0: SpectralField,
-    work: Optional[dict] = None,
+    basis: HermiteBasis, cfg: SimConfig, t: float, coeffs: np.ndarray, psi0: SpectralField, plan: _Plan
 ) -> TrajectoryRecord:
-    """The diagnostics of the state coeffs at time t; its grid arrays come from _scratch(work)."""
+    """The diagnostics of the state coeffs at time t; its grid arrays are those of plan (no batch axes)."""
     state = SpectralField(basis.dim, basis.n_modes, coeffs.copy())
     l2 = float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))
     sob = {s: sobolev_norm(basis, state, s) for s in cfg.sobolev_s}
     diff = SpectralField(basis.dim, basis.n_modes, coeffs - free_propagate(basis, psi0, t).coeffs)
     res = sobolev_norm(basis, diff, cfg.residual_k + cfg.residual_beta)
-    mod2 = _grid_abs2(basis, coeffs, work)
+    mod2 = _grid_abs2(plan, coeffs)
     linf = math.sqrt(mod2.max())
     return TrajectoryRecord(t, state, l2, _energy(basis, coeffs, mod2), sob, res, linf)
 
@@ -475,18 +492,18 @@ def simulate(basis: HermiteBasis, cfg: SimConfig) -> Trajectory:
 
     if cfg.integrator == "picard":
         states = _picard_march(basis, cfg, psi0, n_steps, dt, record_at)
-        work = {}
+        plan = _Plan(basis)
     else:
         edges = np.arange(n_steps + 1) * dt
         u_ints = cfg.control.integral(edges[:-1], edges[1:])
         stepper = _StrangStepper(basis, cfg, dt)
-        states, work = stepper.march(psi0.coeffs, u_ints), stepper.work
+        states, plan = stepper.march(psi0.coeffs, u_ints), stepper.plan
     if 0 in record_at:
-        records.append(_record(basis, cfg, 0.0, psi0.coeffs, psi0, work))
+        records.append(_record(basis, cfg, 0.0, psi0.coeffs, psi0, plan))
     for j, c in states:
         _check_h1(basis, c, j * dt)
         if j in record_at:
-            records.append(_record(basis, cfg, j * dt, c, psi0, work))
+            records.append(_record(basis, cfg, j * dt, c, psi0, plan))
     return Trajectory(cfg, dt, psi0, records)
 
 
@@ -542,7 +559,6 @@ def _march_members(
             finals[..., active[done]] = c[..., done]
             keep = ~done
             active, c, u_ints = active[keep], c[..., keep], u_ints[:, keep]
-            stepper.work.clear()  # work arrays sized for the larger batch
     return finals
 
 
@@ -612,26 +628,32 @@ def picard_solve(
     panel_u[1:] = cfg.control.integral(t_offset + ts[:-1], t_offset + ts[1:])
     k_grid = cfg.potential.grid_values
     k_hat = _multiplier_matrix(basis, k_grid) if basis.dim == 1 else None
-    planes_shape = (n + 1, 2, k_grid.size)
-    psi_planes = (n + 1, 2) + k_grid.shape
     c0 = psi0.coeffs
     w = np.empty(shape, complex)
     w[...] = c0[..., None]
     w_new, psi, term = (np.empty(shape, complex) for _ in range(3))
     flat = term.reshape(-1)
-    work = {}
+    transforms = cfg.sigma or k_hat is None
+    if transforms:
+        # the synthesis of psi, and the analysis of f, which holds K psi and
+        # then the cubic term on the grid: GEMMs bound once per solve
+        planes_shape = (n + 1, 2, k_grid.size)  # (time, re/im, point)
+        synthesis, g = _synthesis_gemms(basis.herm_table, psi, basis.dim)
+        g = g.reshape(planes_shape)
+        sq, f = np.empty(planes_shape), np.empty(planes_shape)
+        analysis, f_hat = _analysis_gemms(basis.analysis_table, f.reshape((n + 1, 2) + k_grid.shape), basis.dim)
     dists, ratios = [], []
     for it in range(cfg.picard_max_iter):
         np.multiply(phases, w, out=psi)
-        if cfg.sigma or k_hat is None:
-            g = _synthesize(basis, psi, work).reshape(planes_shape)  # (time, re/im, point)
+        if transforms:
+            _run(synthesis)
         if cfg.sigma:
-            mod2 = _abs2(g, work)
+            mod2 = _abs2(g, sq)
             mod2 *= -cfg.sigma * h
-            cubic = np.multiply(g, mod2, out=_scratch(work, "cubic", planes_shape))
         if k_hat is None:
-            kg = np.multiply(g, k_grid.reshape(-1), out=_scratch(work, "kg", planes_shape))
-            k_psi = _analyze(basis, kg.reshape(psi_planes), work)
+            np.multiply(g, k_grid.reshape(-1), out=f)
+            _run(analysis)
+            k_psi = f_hat
         else:
             k_psi = np.matmul(k_hat, psi.view(float), out=term.view(float)).view(complex)
         np.multiply(back, k_psi, out=term)
@@ -642,7 +664,9 @@ def picard_solve(
         np.add(flat[:-1], flat[1:], out=acc)
         w_new *= panel_u
         if cfg.sigma:
-            np.multiply(back, _analyze(basis, cubic.reshape(psi_planes), work), out=term)
+            np.multiply(g, mod2, out=f)
+            _run(analysis)
+            np.multiply(back, f_hat, out=term)
             acc += flat[:-1]
             acc += flat[1:]
         w_new[..., 0] = c0

@@ -22,6 +22,7 @@ entries finite for truncations up to N = 1024.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
@@ -325,90 +326,158 @@ def _level_exp(basis: HermiteBasis, z: complex) -> np.ndarray:
     return np.exp(z * levels)[basis.level]
 
 
-def _scratch(work: Optional[dict], tag: str, shape: tuple, dtype=float) -> np.ndarray:
-    """An array to write into: a new one without a work dict, else the one
-    kept in work under (tag, shape), made on first use.  A tag always
-    names arrays of one dtype."""
-    if work is None:
-        return np.empty(shape, dtype)
-    buf = work.get((tag, shape))
-    if buf is None:
-        buf = work[tag, shape] = np.empty(shape, dtype)
-    return buf
+def _synthesis_gemms(tab: np.ndarray, c: np.ndarray, dim: int) -> tuple[list, np.ndarray]:
+    """The GEMMs (lhs, rhs, out) that take c to planes of sum_k c_k prod_j tab[k_j, i_j], and those planes.
 
-
-def _contract(tab: np.ndarray, coeffs: np.ndarray, dim: int, work: Optional[dict] = None) -> np.ndarray:
-    """Planes of sum_k c_k prod_j tab[k_j, i_j] for the real (in, out) table tab.
-
-    coeffs is complex of shape (n_in,) * dim + batch; the result is real of
-    shape batch + (2,) + (n_out,) * dim, the real part at index 0 of the
-    axis before the grid and the imaginary part at index 1.  Each pass is
-    one real GEMM that contracts the leading axis of the previous result,
-    read through its transposed float view, and appends its output axis.
-    The first pass reads the interleaved complex data as a float array
-    whose last axis holds (re, im), so after dim passes the axes stand in
-    the order above and nothing has been copied.  In 1D the one GEMM is
-    taken the other way round, tab.T times the float view: its product,
-    of which the planes are the transposed view, holds the grid values as
-    interleaved complex numbers of shape (n_out,) + batch, which the 1D
-    Strang step rotates with one complex multiply (see
-    dynamics._phase_kernel).  With a work dict (see _scratch) each pass
-    writes into an array kept there, so the result is overwritten by the
-    next call with it.
+    tab is a real (in, out) table and c complex and contiguous, of shape
+    (n_in,) * dim + batch; the planes are real of shape batch + (2,) +
+    (n_out,) * dim, the real part at index 0 of the axis before the grid
+    and the imaginary part at index 1.  Each pass is one real GEMM that
+    contracts the leading axis of the previous result, read through its
+    transposed float view, and appends its output axis.  The first pass
+    reads the interleaved complex data as a float array whose last axis
+    holds (re, im), so after dim passes the axes stand in the order above
+    and nothing is copied.  In 1D the one GEMM is taken the other way
+    round, tab.T times the float view: its product, of which the planes
+    are the transposed view, holds the grid values as interleaved complex
+    numbers of shape (n_out,) + batch, which the 1D Strang step rotates
+    with one complex multiply (see dynamics._phase_kernel).  Every operand
+    is a view of c or of an output allocated here, so running the GEMMs
+    (_run) reads c as it is then and overwrites the planes.
     """
-    batch, n_in, n_out = coeffs.shape[dim:], tab.shape[0], tab.shape[1]
-    a = np.ascontiguousarray(coeffs, dtype=complex).view(float)
+    batch, (n_in, n_out) = c.shape[dim:], tab.shape
+    a = c.view(float).reshape(n_in, -1)
     if dim == 1:
-        a = a.reshape(n_in, -1)
-        a = np.matmul(tab.T, a, out=_scratch(work, "synthesis", (n_out, a.shape[1])))
-        return a.T.reshape(batch + (2, n_out))
+        out = np.empty((n_out, a.shape[1]))
+        return [(tab.T, a, out)], out.T.reshape(batch + (2, n_out))
+    gemms = []
     for _ in range(dim):
         a = a.reshape(n_in, -1)
-        a = np.matmul(a.T, tab, out=_scratch(work, "synthesis", (a.shape[1], n_out)))
-    return a.reshape(batch + (2,) + (n_out,) * dim)
+        out = np.empty((a.shape[1], n_out))
+        gemms.append((a.T, tab, out))
+        a = out
+    return gemms, a.reshape(batch + (2,) + (n_out,) * dim)
 
 
-def _synthesize(basis: HermiteBasis, coeffs: np.ndarray, work: Optional[dict] = None) -> np.ndarray:
-    """Grid planes, shape batch + (2,) + (M,) * dim, of coefficients of shape (N,) * dim + batch."""
-    return _contract(basis.herm_table, coeffs, basis.dim, work)
+def _analysis_gemms(tab: np.ndarray, planes: np.ndarray, dim: int) -> tuple[list, np.ndarray]:
+    """The GEMMs (lhs, rhs, out) of the analysis of planes by the (out, in) table tab, and its coefficients.
 
-
-def _analyze(basis: HermiteBasis, planes: np.ndarray, work: Optional[dict] = None) -> np.ndarray:
-    """Coefficients, shape (N,) * dim + batch, of grid planes of shape batch + (2,) + (M,) * dim.
-
-    The mirror of _contract: each pass is one real GEMM of analysis_table
-    with the transposed view of the previous result's trailing axis, and
-    puts its output axis first, so after dim passes the (re, im) axis is
-    last and the float result is read as interleaved complex coefficients.
-    The planes may be stored either way round in 1D: both give views.
+    The mirror of _synthesis_gemms: planes of shape batch + (2,) + (n_in,)
+    * dim go to complex coefficients of shape (n_out,) * dim + batch, a
+    view of the last output.  Each pass is one real GEMM of tab with the
+    transposed view of the previous result's trailing axis, and puts its
+    output axis first, so after dim passes the (re, im) axis is last and
+    the float result is read as interleaved complex coefficients.  1D
+    planes may be stored either way round: both give views.
     """
-    tab, dim = basis.analysis_table, basis.dim
-    batch = planes.shape[: planes.ndim - dim - 1]
-    a = planes
+    batch, (n_out, n_in) = planes.shape[: planes.ndim - dim - 1], tab.shape
+    gemms, a = [], planes
     for _ in range(dim):
-        a = a.reshape(-1, tab.shape[1])
-        a = np.matmul(tab, a.T, out=_scratch(work, "analysis", (tab.shape[0], a.shape[0])))
-    return a.view(complex).reshape((tab.shape[0],) * dim + batch)
+        a = a.reshape(-1, n_in)
+        out = np.empty((n_out, a.shape[0]))
+        gemms.append((tab, a.T, out))
+        a = out
+    return gemms, a.view(complex).reshape((n_out,) * dim + batch)
 
 
-def _abs2(planes: np.ndarray, work: Optional[dict] = None) -> np.ndarray:
+def _run(gemms: list) -> None:
+    """Run bound GEMMs (lhs, rhs, out) in order; every transform goes through here."""
+    for lhs, rhs, out in gemms:
+        np.matmul(lhs, rhs, out=out)
+
+
+def _contract(tab: np.ndarray, coeffs: np.ndarray, dim: int) -> np.ndarray:
+    """Planes of sum_k c_k prod_j tab[k_j, i_j] for coefficients of shape (n_in,) * dim + batch;
+    see _synthesis_gemms."""
+    gemms, planes = _synthesis_gemms(tab, np.ascontiguousarray(coeffs, dtype=complex), dim)
+    _run(gemms)
+    return planes
+
+
+def _synthesize(basis: HermiteBasis, coeffs: np.ndarray) -> np.ndarray:
+    """Grid planes, shape batch + (2,) + (M,) * dim, of coefficients of shape (N,) * dim + batch."""
+    return _contract(basis.herm_table, coeffs, basis.dim)
+
+
+def _analyze(basis: HermiteBasis, planes: np.ndarray) -> np.ndarray:
+    """Coefficients, shape (N,) * dim + batch, of grid planes of shape batch + (2,) + (M,) * dim."""
+    gemms, coeffs = _analysis_gemms(basis.analysis_table, planes, basis.dim)
+    _run(gemms)
+    return coeffs
+
+
+def _abs2(planes: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """re^2 + im^2 of planes of shape batch + (2, P), shape batch + (1, P).
 
-    The result is a view into _scratch(work, "tmp", planes.shape).
+    The squares go to out, an array shaped as planes (a new one if None),
+    and the result is its view out[..., :1, :].
     """
-    sq = np.square(planes, out=_scratch(work, "tmp", planes.shape))
+    sq = np.square(planes, out=out)
     return np.add(sq[..., :1, :], sq[..., 1:, :], out=sq[..., :1, :])
 
 
 def _interleaved(planes: np.ndarray) -> np.ndarray:
-    """The grid values of 1D planes stored as _contract stores them, as a
-    complex view of shape (M,) + batch."""
+    """The grid values of 1D planes stored as _synthesis_gemms stores them,
+    as a complex view of shape (M,) + batch."""
     m = planes.shape[-1]
     return planes.reshape(-1, m).T.view(complex).reshape((m,) + planes.shape[:-2])
 
 
+class _GridPlanes:
+    """Grid planes of shape batch + (2,) + grid and the work arrays of their
+    pointwise phase rotation (dynamics._phase_kernel) and of |v|^2, bound once.
+
+    q is the view of the planes with the grid flattened to P points, and
+    tmp an array of its shape.  1D planes, stored as _synthesis_gemms
+    stores them, are rotated as complex values: values is their interleaved
+    complex view of shape (M,) + batch; theta, theta2 and rot (complex)
+    have that shape, cos and sin are the real and imaginary parts of rot,
+    and mod is a view of tmp of that shape.  In 2D and 3D values and rot
+    are None, and theta, theta2, cos and sin have shape batch + (1, P).
+    """
+
+    def __init__(self, planes: np.ndarray, dim: int):
+        batch, p = planes.shape[: planes.ndim - dim - 1], math.prod(planes.shape[planes.ndim - dim :])
+        self.planes = planes
+        self.q = planes.reshape(batch + (2, p))
+        self.tmp = np.empty(self.q.shape)
+        if dim == 1:
+            self.values = _interleaved(planes)
+            shape = self.values.shape
+            self.mod = self.tmp.reshape(-1)[: self.values.size].reshape(shape)
+            self.rot = np.empty(shape, complex)
+            self.cos, self.sin = self.rot.real, self.rot.imag
+        else:
+            self.values = self.rot = None
+            shape = batch + (1, p)
+            self.cos, self.sin = np.empty(shape), np.empty(shape)
+        self.theta, self.theta2 = np.empty(shape), np.empty(shape)
+
+    def abs2(self) -> np.ndarray:
+        """re^2 + im^2 of the planes, shape batch + (1, P), a view of tmp."""
+        return _abs2(self.q, self.tmp)
+
+
+class _Plan(_GridPlanes):
+    """One Strang step's arrays and GEMM operands for coefficients of shape
+    (N,) * dim + batch, bound once per basis and batch shape.
+
+    c is the contiguous coefficient input; synthesis the dim GEMMs from c
+    to the planes; analysis the dim GEMMs from the planes to out, the
+    complex coefficients (a view of the last GEMM's output).  A step or a
+    record writes c, runs the GEMMs with _run and reads the planes or out,
+    which the next use of the plan overwrites.
+    """
+
+    def __init__(self, basis: HermiteBasis, batch: tuple = ()):
+        self.c = np.empty((basis.n_modes,) * basis.dim + batch, complex)
+        self.synthesis, planes = _synthesis_gemms(basis.herm_table, self.c, basis.dim)
+        super().__init__(planes, basis.dim)
+        self.analysis, self.out = _analysis_gemms(basis.analysis_table, planes, basis.dim)
+
+
 def _to_planes(values: np.ndarray) -> np.ndarray:
-    """A copy of complex grid values as planes (2,) + grid, stored as _contract stores them."""
+    """A copy of complex grid values as planes (2,) + grid, stored as _synthesis_gemms stores them."""
     if values.ndim == 1:
         return np.array(values, complex).view(float).reshape(-1, 2).T
     return np.stack((values.real, values.imag))

@@ -82,8 +82,11 @@ def sup_norm_refined(
 
     Synthesizes the field on oversample * M equispaced points per axis
     covering [-x_max, x_max].  Still a lower bound of the true sup, but a
-    much tighter one than the quadrature-node max.
+    much tighter one than the quadrature-node max.  oversample must be an
+    integer of at least 1; ConfigError otherwise.
     """
+    if not (isinstance(oversample, (int, np.integer)) and oversample >= 1):
+        raise ConfigError(f"oversample must be an integer >= 1, got {oversample!r}")
     x_max = float(np.max(np.abs(basis.nodes)))
     n_pts = oversample * basis.n_nodes
     if basis.dim == 3:
@@ -95,8 +98,10 @@ def sup_norm_refined(
 
 
 def free_propagate(basis: HermiteBasis, f: SpectralField, t: float) -> SpectralField:
-    """Exact free flow: c_k -> exp(i lam_k t) c_k.  Isometric in every H^s."""
+    """Exact free flow: c_k -> exp(i lam_k t) c_k.  Isometric in every H^s.  t must be finite."""
     _check_fit(basis, f)
+    if not math.isfinite(t):
+        raise ConfigError(f"free_propagate needs a finite t, got {t}")
     return SpectralField(f.dim, f.n_modes, f.coeffs * _level_exp(basis, 1j * t))
 
 

@@ -207,7 +207,7 @@ def test_weak_limit_batch_synthesizes_once_per_step(basis64, monkeypatch):
     # at T; the three perturbed runs share one synthesis per step
     cfg = bump_config(basis64, sigma=0, control=ControlSignal.piecewise_constant([0.3], 0.2),
                       t_final=0.2, dt=2e-3)
-    calls = count_synthesis(monkeypatch)
+    calls = count_synthesis(monkeypatch, basis64)
     weak_limit_experiment(basis64, cfg, [1, 4, 16], 1.0)
     assert len(calls) == 100 + 1
 

@@ -18,7 +18,17 @@ from gpe.dynamics import (
     picard_solve,
     simulate,
 )
-from gpe.hermite import ConfigError, GridField, _level_exp, basis_state, build_basis, spectral_field
+from gpe.hermite import (
+    ConfigError,
+    GridField,
+    _analyze,
+    _GridPlanes,
+    _level_exp,
+    _synthesize,
+    basis_state,
+    build_basis,
+    spectral_field,
+)
 from gpe.operators import free_propagate
 
 from conftest import from_planes, random_spectral, to_planes
@@ -134,12 +144,27 @@ def test_phase_kernel_1d_matches_exp(sigma, members):
     c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 0.3
     k = make_potential(basis, "gaussian_bump").grid_values
     u = 0.37 if members is None else np.array([0.37, -0.2, 0.0])
-    planes = dynamics._synthesize(basis, c)
+    planes = _synthesize(basis, c)
     v = from_planes(planes, 1)
-    got = dynamics._phase_kernel(planes, sigma, k, u, 0.05)
+    got = dynamics._phase_kernel(_GridPlanes(planes, 1), sigma, k, u, 0.05)
     assert np.shares_memory(got, planes)
     theta = np.multiply.outer(k, u) - sigma * np.abs(v) ** 2 * 0.05
     assert np.max(np.abs(from_planes(got, 1) - v * np.exp(-1j * theta))) <= 1e-15
+
+
+def test_grid_nonlinear_phase_refuses_bad_arguments():
+    v = GridField(2, np.ones((8, 8), complex))
+    k = np.zeros((8, 8))
+    cases = [
+        (dict(k_values=np.zeros(8)), "k_values shape"),
+        (dict(sigma=2), "sigma must be -1, 0 or 1"),
+        (dict(dt=np.nan), "dt must be finite"),
+        (dict(u_integral=np.inf), "u_integral must be finite"),
+    ]
+    for change, message in cases:
+        args = dict(values=v, sigma=1, k_values=k, u_integral=0.3, dt=0.05) | change
+        with pytest.raises(ConfigError, match=message):
+            grid_nonlinear_phase(**args)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -176,13 +201,13 @@ def test_cubic_3d_steps_and_records_allocate_no_grid():
     stepper = dynamics._StrangStepper(basis, cfg, cfg.dt)
     psi0 = make_initial_state(basis, cfg.initial_state)
     c = stepper.step(psi0.coeffs, 3e-4)
-    dynamics._record(basis, cfg, 1e-3, c, psi0, stepper.work)
+    dynamics._record(basis, cfg, 1e-3, c, psi0, stepper.plan)
     grid_bytes = 8 * basis.n_nodes**3
     tracemalloc.start()
     try:
         for call in (
             lambda: stepper.step(c, 2e-4),
-            lambda: dynamics._record(basis, cfg, 2e-3, c, psi0, stepper.work),
+            lambda: dynamics._record(basis, cfg, 2e-3, c, psi0, stepper.plan),
         ):
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -190,6 +215,34 @@ def test_cubic_3d_steps_and_records_allocate_no_grid():
             assert tracemalloc.get_traced_memory()[1] - start < grid_bytes
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dim, n_modes, members", [(1, 64, None), (1, 64, 3), (2, 16, None), (3, 16, None)])
+def test_step_allocates_only_its_result(dim, n_modes, members):
+    # a step after the first writes into its plan: beyond the coefficients it
+    # returns it allocates less than one real grid array of its batch.  numpy's
+    # ufunc iteration buffers (bufsize elements, 8192 by default) hold no
+    # array of the step, and a bufsize of 16 keeps them out of the count.
+    basis = build_basis(dim, n_modes)
+    cfg = bump_config(basis, sigma=1, t_final=0.01, dt=1e-3)
+    stepper = dynamics._StrangStepper(basis, cfg, cfg.dt)
+    c, u = make_initial_state(basis, cfg.initial_state).coeffs, 3e-4
+    if members:
+        c, u = np.stack([c] * members, axis=-1), np.array([3e-4, -2e-4, 0.0])
+    c = stepper.step(c, u)
+    grid_bytes = 8 * basis.n_nodes**dim * (members or 1)
+    with np.errstate():
+        np.setbufsize(16)
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = stepper.step(c, u)
+                assert tracemalloc.get_traced_memory()[1] - start - out.nbytes < grid_bytes
+                del out
+        finally:
+            tracemalloc.stop()
 
 
 def test_strang_step_free_flow_limit(basis64):
@@ -279,13 +332,14 @@ def test_step_work_arrays_match_fresh(dim, n_modes, sigma):
     cfg = bump_config(basis, sigma=sigma, t_final=0.01, dt=1e-3)
     stepper = dynamics._StrangStepper(basis, cfg, cfg.dt)
     c = make_initial_state(basis, cfg.initial_state).coeffs
+    plan = stepper.plan
     for u_int in (0.3, -0.7, 0.1):
-        v = dynamics._synthesize(basis, stepper.half_phase * c)
-        v = dynamics._phase_kernel(v, sigma, stepper.k_values, u_int, cfg.dt)
-        fresh = stepper.half_phase * dynamics._analyze(basis, v)
+        v = _synthesize(basis, stepper.half_phase * c)
+        v = dynamics._phase_kernel(_GridPlanes(v, dim), sigma, stepper.k_values, u_int, cfg.dt)
+        fresh = stepper.half_phase * _analyze(basis, v)
         c = stepper.step(c, u_int)
         assert np.array_equal(c, fresh)
-    assert stepper.work
+    assert stepper.plan is plan
 
 
 @pytest.mark.parametrize("dim, n_modes", [(1, 32), (2, 12), (3, 8)])
@@ -420,11 +474,11 @@ def iterate_on_psi(basis, cfg, t_final, psi0, t_offset=0.0):
     ku = np.multiply.outer(cfg.potential.grid_values, cfg.control(t_offset + ts))
     psi, dists = free.copy(), []
     for it in range(cfg.picard_max_iter):
-        grids = from_planes(dynamics._synthesize(basis, psi), basis.dim)
+        grids = from_planes(_synthesize(basis, psi), basis.dim)
         f = ku * grids
         if cfg.sigma:
             f -= cfg.sigma * np.abs(grids) ** 2 * grids
-        fc = np.conj(phases) * (-1j * dynamics._analyze(basis, to_planes(f, basis.dim)))
+        fc = np.conj(phases) * (-1j * _analyze(basis, to_planes(f, basis.dim)))
         integral = np.zeros_like(fc)
         integral[..., 1:] = np.cumsum(0.5 * h * (fc[..., :-1] + fc[..., 1:]), axis=-1)
         new = free + phases * integral
@@ -485,18 +539,12 @@ def test_picard_solve_transform_counts(monkeypatch, dim, sigma, per_iter):
     # a 1D potential term is one GEMM on the coefficients; the cubic term,
     # and in 2D the potential term, take one synthesis and one analysis each
     basis = build_basis(dim, 32 if dim == 1 else 8)
-    calls = {"_synthesize": [], "_analyze": []}
-    for name, log in calls.items():
-        def counted(*args, transform=getattr(dynamics, name), log=log):
-            log.append(1)
-            return transform(*args)
-
-        monkeypatch.setattr(dynamics, name, counted)
+    calls = count_transforms(monkeypatch, basis)
     cfg = bump_config(basis, sigma=sigma, control=ControlSignal.piecewise_constant([0.7], 0.05),
                       t_final=0.05, dt=1e-3)
     res = picard_solve(basis, cfg, 0.05)
     assert res.n_iter > 1
-    assert (len(calls["_synthesize"]), len(calls["_analyze"])) == tuple(res.n_iter * k for k in per_iter)
+    assert (len(calls["synthesis"]), len(calls["analysis"])) == tuple(res.n_iter * k for k in per_iter)
 
 
 def test_simulate_d2_conserves_l2():
@@ -652,16 +700,22 @@ def test_linear_kernels_match_per_step(dim, n_modes, control):
         assert np.linalg.norm(rec.state.coeffs - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def count_synthesis(monkeypatch):
-    calls = []
+def count_transforms(monkeypatch, basis):
+    # every transform of dynamics runs its bound GEMMs through dynamics._run;
+    # an analysis on basis is a chain whose first left operand is its table
+    calls = {"synthesis": [], "analysis": []}
+    run = dynamics._run
 
-    def counted(basis, coeffs, *work):
-        calls.append(1)
-        return synthesize(basis, coeffs, *work)
+    def counted(gemms):
+        calls["analysis" if gemms[0][0] is basis.analysis_table else "synthesis"].append(1)
+        run(gemms)
 
-    synthesize = dynamics._synthesize
-    monkeypatch.setattr(dynamics, "_synthesize", counted)
+    monkeypatch.setattr(dynamics, "_run", counted)
     return calls
+
+
+def count_synthesis(monkeypatch, basis):
+    return count_transforms(monkeypatch, basis)["synthesis"]
 
 
 @pytest.mark.parametrize(
@@ -681,7 +735,7 @@ def test_step_matrix_takes_long_runs_only(monkeypatch, dim, sigma, control, per_
     # and 62 straddle a piece edge; 50-55 and 57-61 are short runs).  Cubic
     # and 2D runs take step() every time.
     basis = build_basis(dim, 64 if dim == 1 else 16)
-    calls = count_synthesis(monkeypatch)
+    calls = count_synthesis(monkeypatch, basis)
     cfg = bump_config(basis, sigma=sigma, control=KERNEL_CONTROLS[control], t_final=KERNEL_T,
                       dt=2e-3, record_times=(0.0, KERNEL_T))
     traj = simulate(basis, cfg)
@@ -750,7 +804,7 @@ def test_member_march_runs_step_matrix_members_alone(basis64, monkeypatch):
     psi0 = make_initial_state(basis64, cfg.initial_state).coeffs
     controls = [KERNEL_CONTROLS[name] for name in ("zero", "sinusoid_perturbed", "zero")]
     stops = [100, 60, 10]
-    calls = count_synthesis(monkeypatch)
+    calls = count_synthesis(monkeypatch, basis64)
     finals = dynamics._march_members(basis64, cfg, np.stack([psi0] * 3, axis=-1), controls, stops, 2e-3)
     assert len(calls) == 60
     monkeypatch.undo()

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 import gpe.operators
 from gpe.controls import ControlSignal, make_potential
-from gpe.dynamics import InitialState, SimConfig, picard_solve
+from gpe.dynamics import InitialState, SimConfig, energy, picard_solve
 from gpe.hermite import (
     ConfigError,
     _quad_sum,
@@ -91,6 +91,16 @@ def test_refined_sup_norm(basis64):
     f = basis_state(basis64, 0)
     got = sup_norm_refined(basis64, f)
     assert abs(got - np.pi**-0.25) <= 1e-3
+
+
+def test_free_propagate_and_refined_sup_norm_refuse_bad_arguments(basis64):
+    f = basis_state(basis64, 2)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="finite t"):
+            free_propagate(basis64, f, t)
+    for oversample in (0, -1, 0.5, 1.5):
+        with pytest.raises(ConfigError, match="oversample must be an integer >= 1"):
+            sup_norm_refined(basis64, f, oversample=oversample)
 
 
 def test_wsp_norm_reduces_to_known_norms(basis64):
@@ -271,6 +281,7 @@ def test_field_on_another_basis_is_refused(basis64, basis32):
         lambda: kato_functional(basis64, phi, 0.3, (-1.0, 1.0), 32),
         lambda: apply_fractional_H(basis64, phi, 0.5),
         lambda: to_grid(basis64, phi),
+        lambda: energy(basis64, phi),
     ]
     pot = make_potential(basis64, "gaussian_bump", amplitude=1.0, width=1.2)
     cfg = SimConfig(dim=1, n_modes=64, sigma=0, t_final=0.01, dt=1e-3,
