@@ -338,8 +338,8 @@ class _StrangStepper:
     def march(self, coeffs: np.ndarray, u_ints: np.ndarray):
         """Yield (j, state after step j) for j = 1 .. len(u_ints); the control
         integrates to u_ints[j - 1] over step j.  Steps in a run of
-        _matrix_runs take one matvec with that run's step matrix, every
-        other step is step()."""
+        _matrix_runs take one matvec with that run's step matrix, which
+        gives the per-step result to roundoff; every other step is step()."""
         runs = dict(self._matrix_runs(u_ints))
         c, stop, mat = coeffs, 0, None
         for j, u in enumerate(u_ints):
@@ -476,90 +476,94 @@ def simulate(basis: HermiteBasis, cfg: SimConfig) -> Trajectory:
     given config (the only randomness is the seeded initial state).
     Raises SimulationDiverged when the H1 norm passes the guard, and
     ConfigError when the basis, potential or control does not fit cfg.
-
-    A Strang step is _StrangStepper.step, except in a linear (sigma = 0)
-    1D run: there a run of at least n_modes // 2 steps with equal control
-    integrals (a piece of a piecewise-constant or zero control) builds its
-    N x N step matrix once and advances by one matvec per step, which
-    gives the per-step result to roundoff.  The Picard integrator advances
-    by fixed-point windows of at most picard_window that end at every
-    record step.  The divergence guard runs after every step or window.
+    The state is the one member of _march, which picks the kernels.
     """
     cfg.validate(basis)
     psi0 = make_initial_state(basis, cfg.initial_state)
     n_steps, dt, record_at = _snap_records(cfg)
-    records = []
-
-    if cfg.integrator == "picard":
-        states = _picard_march(basis, cfg, psi0, n_steps, dt, record_at)
-        plan = _Plan(basis)
-    else:
-        edges = np.arange(n_steps + 1) * dt
-        u_ints = cfg.control.integral(edges[:-1], edges[1:])
-        stepper = _StrangStepper(basis, cfg, dt)
-        states, plan = stepper.march(psi0.coeffs, u_ints), stepper.plan
-    if 0 in record_at:
-        records.append(_record(basis, cfg, 0.0, psi0.coeffs, psi0, plan))
-    for j, c in states:
-        _check_h1(basis, c, j * dt)
+    stepper, records = _StrangStepper(basis, cfg, dt), []
+    for j, _, c in _march(stepper, psi0.coeffs[..., None], [cfg.control], [n_steps], record_at):
         if j in record_at:
-            records.append(_record(basis, cfg, j * dt, c, psi0, plan))
+            records.append(_record(basis, cfg, j * dt, c, psi0, stepper.plan))
+        del c  # a state held until the next record pinned the heap: 2D/3D peak RSS rose 2 MB
     return Trajectory(cfg, dt, psi0, records)
 
 
 def _march_members(
     basis: HermiteBasis, cfg: SimConfig, coeffs: np.ndarray, controls: list, stops, dt: float
 ) -> np.ndarray:
-    """Final states of a batch of runs of cfg, one member per trailing column.
+    """Final states of the runs of _march, one member per trailing column of coeffs."""
+    finals = np.array(coeffs, dtype=complex)
+    for _, b, c in _march(_StrangStepper(basis, cfg, dt), coeffs, controls, stops):
+        finals[..., b] = c
+    return finals
+
+
+def _march(stepper: _StrangStepper, coeffs: np.ndarray, controls: list, stops, at=()):
+    """Yield (j, b, state after step j) as member b of a batch of runs of stepper.cfg reaches step j.
 
     Member b starts from coeffs[..., b], is driven by controls[b] and stops
-    after stops[b] steps of size dt; a member with no step keeps its start.
-    A member runs alone, as its own simulate would, under the Picard
-    integrator, whose windows carry no member axis, and when step matrices
-    would take at least half of its steps (a linear 1D member driven by
-    long constant pieces; see _StrangStepper.march), since a matvec costs
-    less than its share of a batched step.  The other members advance
-    together, one _StrangStepper.step per time step, and leave the batch
-    as they stop.  The divergence guard checks every member after every
-    step or window.  Members running alone go first, in order; in the
-    batch, the first report comes at the earliest step a member trips,
-    from the lowest-numbered member tripping then, at the t its own run
-    would report.
+    after stops[b] steps of stepper.dt.  It yields at every step of at that
+    it reaches, at its stop, and its start when 0 is in at.
+
+    A member runs alone under the Picard integrator, by fixed-point windows
+    of at most picard_window that end at every step it yields.  A Strang
+    member runs alone, by _StrangStepper.march, when it is the only member
+    (so simulate takes these kernels) and when step matrices would take at
+    least half of its steps, since a matvec costs less than its share of a
+    batched step.  Every other member advances in one batch, one
+    _StrangStepper.step per time step, and leaves it at its stop.
+
+    The divergence guard checks every member after every step or window.
+    Members running alone go first, in order; in the batch, the first report
+    comes at the earliest step a member trips, from the lowest-numbered
+    member tripping then, at the t its own run would report.
     """
-    finals = np.array(coeffs, dtype=complex)
+    basis, cfg, dt = stepper.basis, stepper.cfg, stepper.dt
     stops = np.asarray(stops, dtype=int)
     edges = np.arange(stops.max() + 1) * dt
-    stepper = _StrangStepper(basis, cfg, dt)
     batch, batch_u = [], []
-    for b in np.flatnonzero(stops):
-        stop, start = int(stops[b]), finals[..., b].copy()
+    for b, stop in enumerate(stops.tolist()):
+        c = np.ascontiguousarray(coeffs[..., b])
+        if 0 in at:
+            yield 0, b, c
+        if not stop:
+            continue
         if cfg.integrator == "picard":
-            start = SpectralField(basis.dim, basis.n_modes, start)
-            states = _picard_march(basis, replace(cfg, control=controls[b]), start, stop, dt, (stop,))
-        else:
-            u = controls[b].integral(edges[:-1], edges[1:])
-            if 2 * sum(hi - lo for lo, hi in stepper._matrix_runs(u[:stop])) < stop:
-                batch.append(b)
-                batch_u.append(u)
-                continue
-            states = stepper.march(start, u[:stop])
-        for j, c in states:
+            member_cfg, j = replace(cfg, control=controls[b]), 0
+            width = max(1, int(round(min(cfg.picard_window / dt, stop))))
+            for end in sorted({k for k in at if 0 < k < stop} | {stop}):
+                while j < end:
+                    jn = min(j + width, end)
+                    start = SpectralField(basis.dim, basis.n_modes, c)
+                    c = picard_solve(basis, member_cfg, (jn - j) * dt, psi0=start, t_offset=j * dt).state.coeffs
+                    j = jn
+                    _check_h1(basis, c, j * dt)
+                yield end, b, c
+            continue
+        u = controls[b].integral(edges[:-1], edges[1:])
+        if len(stops) > 1 and 2 * sum(hi - lo for lo, hi in stepper._matrix_runs(u[:stop])) < stop:
+            batch.append(b)
+            batch_u.append(u)
+            continue
+        for j, c in stepper.march(c, u[:stop]):
             _check_h1(basis, c, j * dt)
-        finals[..., b] = c
+            if j in at or j == stop:
+                yield j, b, c
     if not batch:
-        return finals
+        return
     active, u_ints = np.array(batch), np.stack(batch_u, axis=-1)
-    c = finals[..., active]
+    c = coeffs[..., active]
     stop_steps = set(stops[active].tolist())
     for j in range(1, max(stop_steps) + 1):
         c = stepper.step(c, u_ints[j - 1])
         _check_h1(basis, c, j * dt)
-        if j in stop_steps:
+        if j in stop_steps or j in at:
             done = stops[active] == j
-            finals[..., active[done]] = c[..., done]
+            for i in range(len(active)) if j in at else np.flatnonzero(done):
+                yield j, active[i], c[..., i]
             keep = ~done
             active, c, u_ints = active[keep], c[..., keep], u_ints[:, keep]
-    return finals
 
 
 @dataclass(frozen=True)
@@ -683,18 +687,3 @@ def picard_solve(
             state = SpectralField(basis.dim, basis.n_modes, phases[..., -1] * w[..., -1])
             return PicardResult(state, it + 1, tuple(dists), tuple(ratios))
     raise PicardDidNotConverge(cfg.picard_max_iter, ratios[-1] if ratios else np.inf)
-
-
-def _picard_march(basis, cfg, psi0, n_steps, dt, record_at):
-    """Yield (j, state after step j) at the end of each fixed-point window of
-    simulate(integrator='picard').  A window spans at most picard_window
-    and ends at every record step."""
-    window_steps = max(1, int(round(min(cfg.picard_window / dt, n_steps))))
-    c, j0 = psi0.coeffs, 0
-    for j1 in sorted(set(record_at) - {0} | {n_steps}):
-        while j0 < j1:
-            jn = min(j0 + window_steps, j1)
-            start = SpectralField(basis.dim, basis.n_modes, c)
-            c = picard_solve(basis, cfg, (jn - j0) * dt, psi0=start, t_offset=j0 * dt).state.coeffs
-            j0 = jn
-            yield j0, c

@@ -34,6 +34,10 @@ _PI_M14 = np.pi ** -0.25
 
 MAX_QUAD_NODES = 8192
 MAX_MODES = 1024
+# The most grid points M^dim a basis may have (so N^dim too): a larger one is refused before
+# any table is made.  A 3D cubic simulate peaks at about 15 real arrays over the grid, 128 MiB
+# each at the bound (1.9 GiB at 3D N = 128); 3D N = 1024 would take 64 GiB per array.
+MAX_GRID_POINTS = 2**24
 
 
 class ConfigError(ValueError):
@@ -284,6 +288,8 @@ def build_basis(dim: int, n_modes: int, quad_factor: int = 2) -> HermiteBasis:
         raise ConfigError(
             f"quadrature size quad_factor * n_modes = {m} exceeds the build guard {MAX_QUAD_NODES}"
         )
+    if m**dim > MAX_GRID_POINTS:
+        raise ConfigError(f"n_modes = {n_modes} makes {m}^{dim} grid points, more than MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     nodes, phys, quad = gauss_hermite(m)
     table = hermite_values(n_modes, nodes)
     level = reduce(np.add.outer, [np.arange(n_modes)] * dim)

@@ -124,6 +124,7 @@ def test_negative_dt_names_field(tmp_path, capsys):
         ("kato_scan_n_time_huge", "n_time"),
         ("simulate_n_records_huge", "n_records"),
         ("attainable_n_samples_huge", "n_samples"),
+        ("simulate_basis_too_large", "n_modes"),
     ],
 )
 def test_bad_config_names_key(tmp_path, capsys, fixture, key):
@@ -136,9 +137,10 @@ def test_bad_config_names_key(tmp_path, capsys, fixture, key):
 
 
 def test_huge_counts_exit_2_before_allocating(tmp_path, capsys):
-    # 10^12 records or samples: the refusal comes before the record grid or
-    # the draws, so the run allocates next to nothing
-    for fixture in ("simulate_n_records_huge", "attainable_n_samples_huge"):
+    # 10^12 records or samples, or a 3D basis of 2048^3 grid points: the
+    # refusal comes before the record grid, the draws or the basis tables,
+    # so the run allocates next to nothing
+    for fixture in ("simulate_n_records_huge", "attainable_n_samples_huge", "simulate_basis_too_large"):
         tracemalloc.start()
         try:
             code = run(str(DATA / "bad_configs" / f"{fixture}.json"), output_override=str(tmp_path))

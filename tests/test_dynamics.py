@@ -669,6 +669,11 @@ KERNEL_CONTROLS = {
     "long_and_short_pieces": ControlSignal.piecewise_constant(
         [0.5] * 8 + [0.1, -0.3] + [0.2] * 6, KERNEL_T
     ),
+    # 10 pieces of 10 steps: one run of 40 steps (at least 32 at N = 64),
+    # fewer than half of the 100
+    "one_long_piece": ControlSignal.piecewise_constant(
+        [0.5] * 4 + [0.1, -0.3, 0.2, 0.4, -0.1, 0.3], KERNEL_T
+    ),
 }
 
 
@@ -812,3 +817,66 @@ def test_member_march_runs_step_matrix_members_alone(basis64, monkeypatch):
         t = stop * 2e-3
         want = simulate(basis64, replace(cfg, control=u, t_final=t, record_times=(t,))).final_state.coeffs
         assert np.linalg.norm(finals[:, b] - want) <= 1e-12
+
+
+@pytest.mark.parametrize("dim, n_modes, sigma, integrator, control", [
+    (1, 64, 0, "strang", "one_long_piece"),
+    (2, 16, 1, "strang", "sinusoid_perturbed"),
+    (1, 32, 0, "picard", "piecewise_constant"),
+])
+def test_one_member_march_matches_simulate(dim, n_modes, sigma, integrator, control):
+    # a lone member takes the kernels of its own simulate, step matrices on
+    # runs that cover some of its steps included
+    basis = build_basis(dim, n_modes)
+    cfg = bump_config(basis, sigma=sigma, control=KERNEL_CONTROLS[control], t_final=KERNEL_T,
+                      dt=2e-3, record_times=(KERNEL_T,), integrator=integrator)
+    n_steps, dt, _ = dynamics._snap_records(cfg)
+    if control == "one_long_piece":
+        u = cfg.control.integral(np.arange(n_steps) * dt, np.arange(1, n_steps + 1) * dt)
+        runs = dynamics._StrangStepper(basis, cfg, dt)._matrix_runs(u)
+        assert 0 < 2 * sum(b - a for a, b in runs) < n_steps
+    psi0 = make_initial_state(basis, cfg.initial_state).coeffs
+    got = dynamics._march_members(basis, cfg, psi0[..., None], [cfg.control], [n_steps], dt)[..., 0]
+    assert np.array_equal(got, simulate(basis, cfg).final_state.coeffs)
+
+
+@pytest.mark.parametrize("integrator", ["strang", "picard"])
+def test_interior_record_times(monkeypatch, integrator):
+    # records at 0.03 and 0.07 of T = 0.1 (steps 15 and 35 of 50), neither
+    # at 0 nor at T; Picard windows of at most 12 steps end at both and at T
+    basis = build_basis(1, 32)
+    cfg = bump_config(basis, sigma=1, control=ControlSignal.piecewise_constant([0.7, -0.2], 0.1),
+                      t_final=0.1, dt=2e-3, record_times=(0.03, 0.07), integrator=integrator,
+                      picard_window=0.025)
+    solve, windows = dynamics.picard_solve, {}
+
+    def recorded(basis, cfg, t_final, psi0, t_offset):
+        res = solve(basis, cfg, t_final, psi0=psi0, t_offset=t_offset)
+        windows[round(t_offset / 2e-3), round((t_offset + t_final) / 2e-3)] = res.state.coeffs
+        return res
+
+    monkeypatch.setattr(dynamics, "picard_solve", recorded)
+    traj = simulate(basis, cfg)
+    assert traj.times.tolist() == [15 * traj.dt, 35 * traj.dt]
+    if integrator == "strang":
+        want = per_step_records(basis, cfg)
+    else:
+        assert list(windows) == [(0, 12), (12, 15), (15, 27), (27, 35), (35, 47), (47, 50)]
+        want = [windows[12, 15], windows[27, 35]]
+    for rec, ref in zip(traj.records, want, strict=True):
+        assert np.array_equal(rec.state.coeffs, ref)
+
+
+def test_march_yields_batched_members_at_asked_steps(basis64):
+    # two batched members (no step-matrix runs) yield their starts, every
+    # asked-for step they reach and their stops, in step order
+    cfg = bump_config(basis64, sigma=0, t_final=KERNEL_T, dt=2e-3)
+    psi0 = make_initial_state(basis64, cfg.initial_state).coeffs
+    controls = [KERNEL_CONTROLS[name] for name in ("sampled", "sinusoid_perturbed")]
+    stepper = dynamics._StrangStepper(basis64, cfg, 2e-3)
+    got = list(dynamics._march(stepper, np.stack([psi0] * 2, axis=-1), controls, [30, 10], at=(0, 5, 20)))
+    assert [(j, b) for j, b, _ in got] == [(0, 0), (0, 1), (5, 0), (5, 1), (10, 1), (20, 0), (30, 0)]
+    for j, b, c in got:
+        t = j * 2e-3
+        alone = replace(cfg, control=controls[b], t_final=max(t, 2e-3), record_times=(t,))
+        assert np.linalg.norm(c - per_step_records(basis64, alone)[0]) <= 1e-12

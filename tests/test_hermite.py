@@ -9,7 +9,9 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_hermite
 
 from gpe.hermite import (
+    MAX_GRID_POINTS,
     MAX_MODES,
+    ConfigError,
     GridField,
     _analyze,
     _envelope_start,
@@ -203,6 +205,12 @@ def test_build_basis_rejects_bad_arguments():
         build_basis(1, 1024, 9)  # M > 8192
     with pytest.raises(ValueError):
         build_basis(1, 16, 1)
+    # M^dim is bounded, not only M: 3D N = 128 (M = 256) is the largest 3D
+    # basis at quad_factor 2, and 2D at the axis bound with M = 8192 is refused
+    assert 256**3 == MAX_GRID_POINTS and build_basis(3, 128).lam.shape == (128,) * 3
+    for args in ((3, 129), (2, 1024, 8), (3, 1024)):
+        with pytest.raises(ConfigError, match="n_modes"):
+            build_basis(*args)
 
 
 def test_to_grid_ground_state(basis32):
