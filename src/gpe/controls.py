@@ -286,8 +286,8 @@ def make_potential(
         raise ConfigError(f"unknown potential kind {kind!r}")
     amplitude, width = float(amplitude), float(width)
     _check_finite(amplitude, "amplitude")
-    if not (np.isfinite(width) and width > 0.0):
-        raise ConfigError(f"width must be finite and > 0, got {width}")
+    if not (width > 0.0 and 0.0 < width * width < np.inf):  # the profiles divide r^2 by width^2
+        raise ConfigError(f"width must be > 0 with a positive finite square, got {width}")
     d = basis.dim
     ctr = np.full(d, float(center)) if np.isscalar(center) else np.asarray(center, float)
     if ctr.shape != (d,):

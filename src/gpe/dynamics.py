@@ -184,14 +184,16 @@ def make_initial_state(basis: HermiteBasis, spec: InitialState) -> SpectralField
         alpha = complex(spec.displacement)
         k = np.arange(basis.n_modes)
         log_fact = np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
-        axis = np.exp(k * np.log(np.abs(alpha) + 1e-300) - 0.5 * log_fact) * np.exp(
-            1j * k * np.angle(alpha)
-        )
+        log_mag = k * np.log(np.abs(alpha) + 1e-300) - 0.5 * log_fact  # max (0 if |alpha| <= 1) taken out before exp
+        axis = np.exp(log_mag - log_mag.max()) * np.exp(1j * k * np.angle(alpha))
         c = reduce(np.multiply.outer, [axis] * basis.dim)
     else:  # random_decay
         rng = np.random.default_rng(spec.seed)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=basis.lam.shape)
-        c = basis.lam ** -(spec.decay + 0.5) * np.exp(1j * theta)
+        with np.errstate(over="ignore", under="ignore"):
+            c = basis.lam ** -(spec.decay + 0.5) * np.exp(1j * theta)
+            if not 0.0 < np.sum(np.abs(c) ** 2) < np.inf:
+                raise ConfigError(f"decay = {spec.decay} gives weights lam^-(decay + 0.5) that cannot be normalized")
     return spectral_field(basis, c / np.sqrt(np.sum(np.abs(c) ** 2)))
 
 
@@ -228,7 +230,6 @@ _POLY_THETA_MAX = 1.0 / 32
 _POLY_MIN_POINTS = 4096
 _COS_TAYLOR = (1.0, -1.0 / 2, 1.0 / 24, -1.0 / 720, 1.0 / 40320)
 _SIN_TAYLOR = (-1.0 / 6, 1.0 / 120, -1.0 / 5040)
-_SWAP_SIGNS = np.array([[1.0], [-1.0]])
 
 
 def _cos_sin(theta: np.ndarray, n_points: int, cos: np.ndarray, sin: np.ndarray, theta2: Optional[np.ndarray] = None):
@@ -291,10 +292,12 @@ def _phase_kernel(g: _GridPlanes, sigma: int, k_values: np.ndarray, u_int, dt: f
         np.multiply(mod2, sigma * dt, out=mod2)
         np.subtract(theta, mod2, out=theta)
     _cos_sin(theta, m, g.cos, g.sin, g.theta2)
-    swap = np.multiply(q[..., ::-1, :], g.sin, out=g.tmp)
-    swap *= _SWAP_SIGNS  # (im sin, -re sin)
-    q *= g.cos
-    q += swap
+    re, im = q[..., :1, :], q[..., 1:, :]  # per plane: numpy buffers a broadcast over both planes
+    im_sin = np.multiply(im, g.sin, out=g.tmp[..., 1:, :])
+    im *= g.cos
+    im -= np.multiply(re, g.sin, out=g.tmp[..., :1, :])
+    re *= g.cos
+    re += im_sin
     return g.planes
 
 
@@ -334,19 +337,6 @@ class _StrangStepper:
         _phase_kernel(plan, self.cfg.sigma, self.k_values, u_int, self.dt)
         _run(plan.analysis)
         return np.multiply(half, plan.out)
-
-    def march(self, coeffs: np.ndarray, u_ints: np.ndarray):
-        """Yield (j, state after step j) for j = 1 .. len(u_ints); the control
-        integrates to u_ints[j - 1] over step j.  Steps in a run of
-        _matrix_runs take one matvec with that run's step matrix, which
-        gives the per-step result to roundoff; every other step is step()."""
-        runs = dict(self._matrix_runs(u_ints))
-        c, stop, mat = coeffs, 0, None
-        for j, u in enumerate(u_ints):
-            if j in runs:
-                stop, mat = runs[j], self._step_matrix(u)
-            c = mat @ c if j < stop else self.step(c, u)
-            yield j + 1, c
 
     def _matrix_runs(self, u_ints: np.ndarray) -> list:
         """(start, stop) of the step runs that take a step matrix.
@@ -429,24 +419,24 @@ def _record(
     return TrajectoryRecord(t, state, l2, _energy(basis, coeffs, mod2), sob, res, linf)
 
 
-def _check_h1(basis: HermiteBasis, coeffs: np.ndarray, t: float):
+def _guard_can_trip(basis: HermiteBasis, k_values: np.ndarray, coeffs: np.ndarray, u_ints: np.ndarray) -> bool:
+    """Whether _march's H1 bound may pass the limit on a Strang march from coeffs under step integrals u_ints."""
+    # the limit is halved for roundoff: a step's norm is <= 1 + 3e-13 (1D, N <= 1024); (1 + 1e-8)^MAX_STEPS < 2
+    norm2 = np.max(np.sum(np.abs(coeffs.reshape(basis.lam.size, -1)) ** 2, axis=0))  # inf/NaN for a non-finite start
+    phases = math.isfinite(float(np.abs(k_values).max()) * float(np.abs(u_ints).max()))  # sigma |v|^2 dt is bounded
+    return not (phases and math.sqrt(basis.lam.max() * norm2) <= H1_DIVERGENCE_LIMIT / 2)
+
+
+def _check_h1(basis: HermiteBasis, coeffs: np.ndarray, t: float) -> None:
     """The divergence guard: raise SimulationDiverged once the H1 norm passes the limit or is NaN.
 
-    Returns the squared H1 norm.  A trailing member axis of coeffs gives one
-    per member, and the first member over the limit is the one reported.
-    """
-    if coeffs.ndim == basis.dim:
-        h1sq = np.vdot(coeffs, basis.lam * coeffs).real
-        if not h1sq <= H1_DIVERGENCE_LIMIT**2:
-            raise SimulationDiverged(t, float(np.sqrt(h1sq)))
-        return h1sq
-    # one GEMV over the squared real and imaginary parts, then one sum per member
+    coeffs may carry a trailing member axis; the first member over the limit is reported.  One
+    GEMV over the squared real and imaginary parts, then one sum per member, gives their norms."""
     parts = basis.lam.reshape(-1) @ np.square(coeffs.reshape(basis.lam.size, -1).view(float))
     h1sq = parts[0::2] + parts[1::2]
     if not h1sq.max() <= H1_DIVERGENCE_LIMIT**2:
         first = np.flatnonzero(~(h1sq <= H1_DIVERGENCE_LIMIT**2))[0]
         raise SimulationDiverged(t, float(np.sqrt(h1sq[first])))
-    return h1sq
 
 
 def _step_count(t: float, dt: float) -> int:
@@ -474,9 +464,9 @@ def simulate(basis: HermiteBasis, cfg: SimConfig) -> Trajectory:
 
     Record times snap to the nearest integrator step.  Deterministic for a
     given config (the only randomness is the seeded initial state).
-    Raises SimulationDiverged when the H1 norm passes the guard, and
-    ConfigError when the basis, potential or control does not fit cfg.
-    The state is the one member of _march, which picks the kernels.
+    Raises SimulationDiverged when the H1 norm passes the guard, checked per Strang step only
+    if H1 <= sqrt(max lam) |psi0| may pass it, and ConfigError when the basis, potential or
+    control does not fit cfg.  The state is the one member of _march, which picks the kernels.
     """
     cfg.validate(basis)
     psi0 = make_initial_state(basis, cfg.initial_state)
@@ -506,18 +496,20 @@ def _march(stepper: _StrangStepper, coeffs: np.ndarray, controls: list, stops, a
     after stops[b] steps of stepper.dt.  It yields at every step of at that
     it reaches, at its stop, and its start when 0 is in at.
 
-    A member runs alone under the Picard integrator, by fixed-point windows
-    of at most picard_window that end at every step it yields.  A Strang
-    member runs alone, by _StrangStepper.march, when it is the only member
-    (so simulate takes these kernels) and when step matrices would take at
-    least half of its steps, since a matvec costs less than its share of a
-    batched step.  Every other member advances in one batch, one
-    _StrangStepper.step per time step, and leaves it at its stop.
+    A member runs alone under the Picard integrator, by fixed-point windows of at most
+    picard_window that end at every step it yields.  A Strang member runs alone, by matvecs on
+    the runs of _matrix_runs and step() elsewhere, when it is the only member (so simulate takes
+    these kernels) and when step matrices would take at least half of its steps, since a matvec
+    costs less than its share of a batched step.  Every other member advances in one batch, one
+    step() per time step, and leaves it at its stop.
 
-    The divergence guard checks every member after every step or window.
-    Members running alone go first, in order; in the batch, the first report
-    comes at the earliest step a member trips, from the lowest-numbered
-    member tripping then, at the t its own run would report.
+    The divergence guard checks a Picard member after every window.  A Strang step is finite
+    unit-modulus phases around P e^{-i theta} S, S an isometry onto the Gauss grid (its M >= N
+    nodes integrate each h_j h_k exactly) and P its adjoint, so no step grows the L2 norm and
+    H1 <= sqrt(max lam) max_b |c_b| over a march from states c_b: a lone Strang member, or the
+    batch, is checked per step only if _guard_can_trip finds this may pass the limit.  Members
+    running alone go first, in order; in the batch, the first report comes at the earliest step
+    a member trips, from the lowest-numbered member tripping then, at the t its own run reports.
     """
     basis, cfg, dt = stepper.basis, stepper.cfg, stepper.dt
     stops = np.asarray(stops, dtype=int)
@@ -542,12 +534,18 @@ def _march(stepper: _StrangStepper, coeffs: np.ndarray, controls: list, stops, a
                 yield end, b, c
             continue
         u = controls[b].integral(edges[:-1], edges[1:])
-        if len(stops) > 1 and 2 * sum(hi - lo for lo, hi in stepper._matrix_runs(u[:stop])) < stop:
+        runs = dict(stepper._matrix_runs(u[:stop]))
+        if len(stops) > 1 and 2 * sum(hi - lo for lo, hi in runs.items()) < stop:
             batch.append(b)
             batch_u.append(u)
             continue
-        for j, c in stepper.march(c, u[:stop]):
-            _check_h1(basis, c, j * dt)
+        guard, end, mat = _guard_can_trip(basis, stepper.k_values, c, u[:stop]), 0, None
+        for j, u_j in enumerate(u[:stop], 1):
+            if j - 1 in runs:
+                end, mat = runs[j - 1], stepper._step_matrix(u_j)
+            c = mat @ c if j <= end else stepper.step(c, u_j)
+            if guard:
+                _check_h1(basis, c, j * dt)
             if j in at or j == stop:
                 yield j, b, c
     if not batch:
@@ -555,9 +553,11 @@ def _march(stepper: _StrangStepper, coeffs: np.ndarray, controls: list, stops, a
     active, u_ints = np.array(batch), np.stack(batch_u, axis=-1)
     c = coeffs[..., active]
     stop_steps = set(stops[active].tolist())
+    guard = _guard_can_trip(basis, stepper.k_values, c, u_ints[: max(stop_steps)])
     for j in range(1, max(stop_steps) + 1):
         c = stepper.step(c, u_ints[j - 1])
-        _check_h1(basis, c, j * dt)
+        if guard:
+            _check_h1(basis, c, j * dt)
         if j in stop_steps or j in at:
             done = stops[active] == j
             for i in range(len(active)) if j in at else np.flatnonzero(done):

@@ -111,6 +111,9 @@ def test_negative_dt_names_field(tmp_path, capsys):
         ("picard_max_iter_zero", "picard_max_iter"),
         ("potential_max_order_negative", "max_order"),
         ("potential_width_zero", "width"),
+        ("potential_width_huge", "width"),
+        ("random_decay_decay_negative", "decay"),
+        ("random_decay_decay_huge", "decay"),
         ("smoothing_sigma_cubic", "sigma"),
         ("smoothing_one_record", "record_times"),
         ("smoothing_duplicate_records", "record_times"),
@@ -304,6 +307,22 @@ def test_picard_divergence_exit_code(tmp_path, monkeypatch, capsys):
     cfg["sim"]["integrator"] = "picard"
     assert run_config(cfg) == 3
     assert capsys.readouterr().err.startswith("numerical divergence: ")
+
+
+def test_overflowing_phase_exit_code(tmp_path, capsys):
+    # K U overflows to inf on the first quarter, so the march cannot prove the
+    # H1 bound and checks every step: the NaN state trips the guard at t = dt.
+    # np.errstate keeps numpy's overflow and invalid-value warnings (errors
+    # under this suite's filterwarnings) from interrupting the run.
+    cfg = json.loads((CONFIGS / "simulate_bilinear.json").read_text())
+    cfg["sim"]["potential"]["amplitude"] = 1e308
+    cfg["sim"]["control"]["values"] = [1e3, 1, 1, 1]
+    cfg["output"]["path"] = str(tmp_path / "overflow")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_config(cfg) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical divergence: ")
+    assert "H1 norm nan" in err and "at t = 0.002" in err
 
 
 def test_picard_non_contraction_exit_code(tmp_path, capsys):

@@ -126,7 +126,7 @@ def test_potential_parameter_validation(basis64, basis3d):
             make_potential(basis64, "sech", center=bad)
         with pytest.raises(ConfigError, match="center"):
             make_potential(basis3d, "polynomial_decay", center=[0.0, bad, 0.0])
-    for bad in (0.0, -1.0, np.nan, np.inf):
+    for bad in (0.0, -1.0, np.nan, np.inf, 1e300, 1e-200):  # the last two square to inf and 0
         with pytest.raises(ConfigError, match="width"):
             make_potential(basis64, "gaussian_bump", width=bad)
 

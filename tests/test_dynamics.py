@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -371,6 +372,94 @@ def test_divergence_guard_picard(basis64, monkeypatch):
     cfg = bump_config(basis64, sigma=0, t_final=0.2, dt=1e-2, integrator="picard")
     with pytest.raises(SimulationDiverged):
         simulate(basis64, cfg)
+
+
+@pytest.mark.parametrize("dim, n_modes", [(1, 32), (2, 12), (3, 8)])
+@pytest.mark.parametrize("sigma", [-1, 0, 1])
+def test_strang_step_does_not_grow_l2(dim, n_modes, sigma):
+    # the premise of the once-per-march guard: unit-modulus phases around
+    # P e^{-i theta} S grow no norm, for strong potentials, large integrals
+    # and states of norm 4; a 1D step matrix is the same map
+    basis = build_basis(dim, n_modes)
+    pot = make_potential(basis, "gaussian_bump", amplitude=5.0, width=0.7, center=0.3)
+    cfg = replace(bump_config(basis, sigma=sigma, dt=1e-2), potential=pot)
+    stepper = dynamics._StrangStepper(basis, cfg, cfg.dt)
+    rng = np.random.default_rng(1)
+    for scale in (1.0, 4.0):
+        for u_int in (0.0, 0.03, -0.5, 3.0):
+            c = random_spectral(basis, rng, decay=0.5).coeffs
+            c *= scale / np.linalg.norm(c)
+            steps = [stepper.step(c, u_int)]
+            if dim == 1:
+                mat = stepper._step_matrix(u_int)
+                steps.append(mat @ c)
+                assert np.linalg.norm(mat, 2) <= 1.0 + 1e-13
+            for out in steps:
+                assert np.linalg.norm(out) <= scale * (1.0 + 1e-13)
+
+
+def count_guard_calls(monkeypatch):
+    calls = []
+    check = dynamics._check_h1
+
+    def counted(basis, coeffs, t):
+        calls.append(t)
+        check(basis, coeffs, t)
+
+    monkeypatch.setattr(dynamics, "_check_h1", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim, sigma, control", [(1, 0, "zero"), (1, 0, "piecewise_constant"), (2, 1, "sinusoid_perturbed")])
+def test_proven_strang_runs_skip_the_guard(monkeypatch, dim, sigma, control):
+    # at the default limit the H1 bound holds from the start: step-matrix,
+    # per-step and cubic 2D runs and a member batch check no step
+    basis = build_basis(dim, 64 if dim == 1 else 16)
+    cfg = bump_config(basis, sigma=sigma, control=KERNEL_CONTROLS[control], t_final=KERNEL_T, dt=2e-3)
+    calls = count_guard_calls(monkeypatch)
+    simulate(basis, cfg)
+    psi0 = make_initial_state(basis, cfg.initial_state).coeffs
+    controls = [KERNEL_CONTROLS[name] for name in ("sampled", "sinusoid_perturbed", "zero")]
+    dynamics._march_members(basis, cfg, np.stack([psi0] * 3, axis=-1), controls, [50, 20, 5], 2e-3)
+    assert calls == []
+
+
+def test_unproven_strang_run_checks_every_step(basis64, monkeypatch):
+    # a limit 1.5x the bound sqrt(max lam) |psi0| is not within the slack:
+    # every one of the 100 steps is checked, and none trips
+    cfg = bump_config(basis64, sigma=0, control=KERNEL_CONTROLS["zero"], t_final=KERNEL_T, dt=2e-3)
+    monkeypatch.setattr(dynamics, "H1_DIVERGENCE_LIMIT", 1.5 * np.sqrt(basis64.lam.max()))
+    calls = count_guard_calls(monkeypatch)
+    simulate(basis64, cfg)
+    assert calls == pytest.approx([j * 2e-3 for j in range(1, 101)])
+
+
+def test_picard_checks_the_guard_per_window(basis64, monkeypatch):
+    # windows of at most 12 steps over 50 end at steps 12, 24, 36, 48 and 50
+    cfg = bump_config(basis64, sigma=1, control=ControlSignal.piecewise_constant([0.7, -0.2], 0.1),
+                      t_final=0.1, dt=2e-3, integrator="picard", picard_window=0.025)
+    calls = count_guard_calls(monkeypatch)
+    simulate(basis64, cfg)
+    assert calls == pytest.approx([j * 2e-3 for j in (12, 24, 36, 48, 50)])
+
+
+@pytest.mark.parametrize("n_modes", [32, 64])
+@pytest.mark.parametrize("displacement", [1e5, 1e300, 1e300j])
+def test_coherent_state_with_large_displacement(n_modes, displacement):
+    # the largest log-magnitude is taken out before exp, so nothing overflows
+    # to a zero or NaN state; all weight sits on the highest modes
+    basis = build_basis(1, n_modes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = make_initial_state(basis, InitialState("coherent", displacement=displacement)).coeffs
+    assert np.linalg.norm(c) == pytest.approx(1.0, rel=1e-12)
+    assert np.argmax(np.abs(c)) == n_modes - 1
+
+
+def test_random_decay_that_cannot_be_normalized(basis64, basis3d):
+    for basis, decay in ((basis64, -200.0), (basis3d, 700.0), (basis64, np.nan)):
+        with pytest.raises(ConfigError, match="decay"):
+            make_initial_state(basis, InitialState("random_decay", decay=decay))
 
 
 def test_record_snapping(basis64):
