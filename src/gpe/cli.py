@@ -45,6 +45,7 @@ from .dynamics import (
     PicardDidNotConverge,
     SimConfig,
     SimulationDiverged,
+    make_initial_state,
     simulate,
 )
 from .hermite import ConfigError, build_basis
@@ -220,6 +221,8 @@ def build_simulation(spec: dict, path: str = "sim", seed_shift: int = 0):
     cfg = SimConfig(**f)
     with _at(path):
         cfg.validate(basis)
+    with _at(f"{path}.initial_state"):
+        make_initial_state(basis, cfg.initial_state)
     return basis, cfg
 
 

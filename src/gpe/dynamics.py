@@ -49,6 +49,15 @@ H1_DIVERGENCE_LIMIT = 1.0e6
 # the bound), and a 1D N = 32 Strang step takes about 10 us, so a run at the bound takes minutes.
 MAX_STEPS = 10**7
 
+# The most values a Picard window may hold: its time nodes (window / dt + 1) times N^d
+# coefficients, or times M^d grid points when the solve makes transforms (2D, 3D or sigma != 0).
+# A solve keeps six complex and one real array over the nodes' coefficients (104 B a mode), with
+# transforms three real plane arrays (48 B a grid point) and the GEMMs' intermediates, and a few
+# numbers per node: a tracemalloc peak of 88-110 B a value in 1D-3D, 128 B at 1D N = 2, so at
+# most 512 MiB at the bound.  perfbench's largest window (batched-1d: 1001 nodes of 128 grid
+# points) holds about 2^17.
+MAX_WINDOW_VALUES = 2**22
+
 # How far a record time may lie past t_final.  A Picard window may end past the control
 # by this times max(1, duration), which covers the roundoff in simulate's window ends.
 _TIME_SLACK = 1e-12
@@ -126,6 +135,9 @@ class SimConfig:
         _step_count(self.t_final, self.dt)
         if self.integrator not in ("strang", "picard"):
             raise ConfigError(f"unknown integrator {self.integrator!r}")
+        if self.integrator == "picard":
+            n_steps = _step_count(min(self.picard_window, self.t_final), self.dt)
+            _check_window(self, n_steps, f"picard_window = {self.picard_window}")
         for t in self.record_times:
             if not 0.0 <= t <= self.t_final + _TIME_SLACK:
                 raise ConfigError(f"record_times entry {t} outside [0, {self.t_final}]")
@@ -174,6 +186,16 @@ class Trajectory:
     @property
     def final_state(self) -> SpectralField:
         return self.records[-1].state
+
+
+def _check_window(cfg: SimConfig, n_steps: int, name: str) -> None:
+    """ConfigError naming name and dt unless a Picard window of n_steps steps of cfg fits MAX_WINDOW_VALUES."""
+    per_node = (cfg.quad_factor * cfg.n_modes if cfg.sigma or cfg.dim != 1 else cfg.n_modes) ** cfg.dim
+    if (n_steps + 1) * per_node > MAX_WINDOW_VALUES:
+        raise ConfigError(
+            f"{name} with dt = {cfg.dt} makes a Picard window of {n_steps + 1} time nodes of {per_node} "
+            f"values, more than MAX_WINDOW_VALUES = {MAX_WINDOW_VALUES}"
+        )
 
 
 def make_initial_state(basis: HermiteBasis, spec: InitialState) -> SpectralField:
@@ -617,6 +639,7 @@ def picard_solve(
         psi0 = make_initial_state(basis, cfg.initial_state)
     _check_fit(basis, psi0, "psi0")
     n = _step_count(t_final, cfg.dt)
+    _check_window(cfg, n, f"picard_solve's t_final = {t_final}")
     h = t_final / n
     ts = np.arange(n + 1) * h
     shape = basis.lam.shape + (n + 1,)

@@ -38,6 +38,14 @@ MAX_MODES = 1024
 # any table is made.  A 3D cubic simulate peaks at about 15 real arrays over the grid, 128 MiB
 # each at the bound (1.9 GiB at 3D N = 128); 3D N = 1024 would take 64 GiB per array.
 MAX_GRID_POINTS = 2**24
+# The most bytes of basis arrays build_basis keeps for reuse.  The example configs' N = 32 and
+# N = 48 bases take 34 KiB and 75 KiB; the largest 1D basis at quad_factor 2 (N = 1024, two
+# 1024 x 2048 tables) takes 32.1 MiB, and 3D N = 128 (lam and level) 32.5 MiB, so either one is
+# kept; 1D N = 1024 at quad_factor 8 (two 1024 x 8192 tables, 128 MiB) is built but not kept.
+_CACHE_BYTES = 2**26
+# The bases kept, by key (dim, n_modes, quad_factor), the least recently used first.
+_BASES: dict = {}
+_clear_bases = _BASES.clear  # so that the next build_basis call with any key builds
 
 
 class ConfigError(ValueError):
@@ -47,6 +55,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class HermiteBasis:
     """Per-axis quadrature rule plus the table of basis-function values.
+
+    build_basis shares one basis per key, so every array of it is read-only.
 
     Attributes:
         dim: spatial dimension, 1 to 3.
@@ -271,17 +281,19 @@ def eigenvalues(dim: int, n_modes: int) -> np.ndarray:
 
 
 def build_basis(dim: int, n_modes: int, quad_factor: int = 2) -> HermiteBasis:
-    """Construct the discrete basis with M = quad_factor * n_modes nodes per axis.
+    """The discrete basis with M = quad_factor * n_modes nodes per axis.
 
     quad_factor = 2 keeps products h_j h_k (j, k < N) exactly integrated and
     the cubic-product analysis alias-free; quad_factor = 3 is available for
-    dealiasing studies.
+    dealiasing studies.  The basis is shared: a call with an equal key
+    returns the same object, kept in a least-recently-used cache of at most
+    _CACHE_BYTES of arrays, and every array of it is read-only.
     """
     if dim not in (1, 2, 3):
         raise ConfigError(f"dim must be 1, 2 or 3, got {dim}")
     if not 2 <= n_modes <= MAX_MODES:
         raise ConfigError(f"n_modes must be in [2, {MAX_MODES}], got {n_modes}")
-    if quad_factor < 2:
+    if not quad_factor >= 2:
         raise ConfigError(f"quad_factor must be >= 2, got {quad_factor}")
     m = quad_factor * n_modes
     if m > MAX_QUAD_NODES:
@@ -290,12 +302,42 @@ def build_basis(dim: int, n_modes: int, quad_factor: int = 2) -> HermiteBasis:
         )
     if m**dim > MAX_GRID_POINTS:
         raise ConfigError(f"n_modes = {n_modes} makes {m}^{dim} grid points, more than MAX_GRID_POINTS = {MAX_GRID_POINTS}")
-    nodes, phys, quad = gauss_hermite(m)
+    key = (int(dim), int(n_modes), int(quad_factor))
+    if key != (dim, n_modes, quad_factor):
+        raise ConfigError(f"n_modes and quad_factor must be integers, got {n_modes} and {quad_factor}")
+    basis = _BASES.pop(key, None) or _build(*key)
+    if _nbytes(basis) <= _CACHE_BYTES:
+        _BASES[key] = basis
+        # evict from a snapshot, the oldest first, so that threads building at once cannot clash
+        kept = list(_BASES.items())
+        excess = sum(_nbytes(b) for _, b in kept) - _CACHE_BYTES
+        for old, b in kept:
+            if excess <= 0:
+                break
+            _BASES.pop(old, None)
+            excess -= _nbytes(b)
+    return basis
+
+
+def _build(dim: int, n_modes: int, quad_factor: int) -> HermiteBasis:
+    """A new basis for a checked key, its arrays set read-only."""
+    nodes, phys, quad = gauss_hermite(quad_factor * n_modes)
     table = hermite_values(n_modes, nodes)
     level = reduce(np.add.outer, [np.arange(n_modes)] * dim)
-    return HermiteBasis(
+    basis = HermiteBasis(
         dim, n_modes, nodes, quad, phys, table, table * phys, eigenvalues(dim, n_modes), level
     )
+    for a in _arrays(basis):
+        a.flags.writeable = False
+    return basis
+
+
+def _arrays(basis: HermiteBasis) -> list:
+    return [a for a in vars(basis).values() if isinstance(a, np.ndarray)]
+
+
+def _nbytes(basis: HermiteBasis) -> int:
+    return sum(a.nbytes for a in _arrays(basis))
 
 
 def spectral_field(basis: HermiteBasis, coeffs: np.ndarray) -> SpectralField:

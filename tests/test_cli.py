@@ -114,6 +114,8 @@ def test_negative_dt_names_field(tmp_path, capsys):
         ("potential_width_huge", "width"),
         ("random_decay_decay_negative", "decay"),
         ("random_decay_decay_huge", "decay"),
+        ("random_decay_decay_negative", "sim.initial_state: decay = "),
+        ("random_decay_decay_huge", "sim.initial_state: decay = "),
         ("smoothing_sigma_cubic", "sigma"),
         ("smoothing_one_record", "record_times"),
         ("smoothing_duplicate_records", "record_times"),
@@ -128,6 +130,7 @@ def test_negative_dt_names_field(tmp_path, capsys):
         ("simulate_n_records_huge", "n_records"),
         ("attainable_n_samples_huge", "n_samples"),
         ("simulate_basis_too_large", "n_modes"),
+        ("simulate_picard_window_huge", "picard_window"),
     ],
 )
 def test_bad_config_names_key(tmp_path, capsys, fixture, key):
@@ -140,10 +143,12 @@ def test_bad_config_names_key(tmp_path, capsys, fixture, key):
 
 
 def test_huge_counts_exit_2_before_allocating(tmp_path, capsys):
-    # 10^12 records or samples, or a 3D basis of 2048^3 grid points: the
-    # refusal comes before the record grid, the draws or the basis tables,
-    # so the run allocates next to nothing
-    for fixture in ("simulate_n_records_huge", "attainable_n_samples_huge", "simulate_basis_too_large"):
+    # 10^12 records or samples, a 3D basis of 2048^3 grid points, or a Picard
+    # window of 2.5 10^6 time nodes: the refusal comes before the record grid,
+    # the draws, the basis tables or the window's arrays, so the run
+    # allocates next to nothing
+    for fixture in ("simulate_n_records_huge", "attainable_n_samples_huge", "simulate_basis_too_large",
+                    "simulate_picard_window_huge"):
         tracemalloc.start()
         try:
             code = run(str(DATA / "bad_configs" / f"{fixture}.json"), output_override=str(tmp_path))

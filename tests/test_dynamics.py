@@ -720,6 +720,33 @@ def test_picard_solve_accepts_window_ends_of_a_long_run(basis64):
     assert res.n_iter == 1
 
 
+def test_picard_window_bound_refuses_before_allocating(basis64, monkeypatch):
+    # a linear 1D window holds N = 64 coefficients per time node, and a cubic one
+    # M = 128 grid points; 0.5 / dt + 1 = 501 nodes of 64 values fit the bound
+    monkeypatch.setattr(dynamics, "MAX_WINDOW_VALUES", 501 * 64)
+    u = ControlSignal.piecewise_constant([0.5], 1.0)
+    cfg = bump_config(basis64, sigma=0, control=u, t_final=1.0, dt=1e-3, integrator="picard", picard_window=0.5)
+    cfg.validate(basis64)
+    assert picard_solve(basis64, cfg, 0.5).n_iter >= 1
+    tracemalloc.start()
+    try:
+        for bad in (replace(cfg, picard_window=0.502), replace(cfg, sigma=1), replace(cfg, dt=9.9e-4)):
+            with pytest.raises(ConfigError, match="picard_window = .* with dt = "):
+                bad.validate()
+            with pytest.raises(ConfigError, match="picard_window"):
+                simulate(basis64, bad)
+        with pytest.raises(ConfigError, match="t_final = 0.6 with dt = "):
+            picard_solve(basis64, cfg, 0.6)
+        with pytest.raises(ConfigError, match="t_final = 0.5 with dt = "):
+            picard_solve(basis64, replace(cfg, sigma=1, integrator="strang"), 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # a Strang run does not read picard_window
+    replace(cfg, integrator="strang", picard_window=1.0).validate(basis64)
+
+
 def test_picard_window_longer_than_any_step_count(basis64):
     # picard_window / dt overflows to inf; the run is one window
     cfg = bump_config(basis64, sigma=0, t_final=1e-3, dt=1e-4, integrator="picard", picard_window=1e306)

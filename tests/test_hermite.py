@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_hermite
 
+from gpe import hermite
 from gpe.hermite import (
     MAX_GRID_POINTS,
     MAX_MODES,
@@ -211,6 +212,85 @@ def test_build_basis_rejects_bad_arguments():
     for args in ((3, 129), (2, 1024, 8), (3, 1024)):
         with pytest.raises(ConfigError, match="n_modes"):
             build_basis(*args)
+
+
+@pytest.fixture
+def empty_cache():
+    hermite._clear_bases()
+    yield hermite._BASES
+    hermite._clear_bases()
+
+
+@pytest.fixture
+def counted_builds(monkeypatch, empty_cache):
+    """The quadrature sizes gauss_hermite is called with, from an empty cache."""
+    sizes, gh = [], hermite.gauss_hermite
+
+    def counted(m):
+        sizes.append(m)
+        return gh(m)
+
+    monkeypatch.setattr(hermite, "gauss_hermite", counted)
+    return sizes
+
+
+def test_build_basis_returns_the_shared_basis(empty_cache):
+    b = build_basis(1, 24)
+    assert build_basis(1, 24) is b
+    assert build_basis(1, np.int64(24), 2) is b
+    assert build_basis(np.int64(1), 24.0, quad_factor=np.int64(2)) is b
+    assert build_basis(1, 24, 3) is not b
+    assert list(empty_cache) == [(1, 24, 2), (1, 24, 3)]
+    assert all(type(k) is int for key in empty_cache for k in key)
+
+
+def test_build_basis_builds_a_key_once(counted_builds):
+    for _ in range(3):
+        build_basis(2, 6)
+        build_basis(1, 6)
+    assert counted_builds == [12, 12]
+    hermite._clear_bases()
+    build_basis(2, 6)
+    assert counted_builds == [12, 12, 12]
+
+
+def test_basis_arrays_are_read_only():
+    b = build_basis(2, 6)
+    arrays = [b.nodes, b.quad_weights, b.phys_weights, b.herm_table, b.analysis_table, b.lam, b.level]
+    assert len(arrays) == len(hermite._arrays(b))
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            a.reshape(-1)[:1] += 1  # views of a cached array are read-only too
+    # a caller that wants to modify a table copies it
+    t = b.herm_table.copy()
+    t[0, 0] = 0.0
+
+
+def test_bad_basis_arguments_cache_nothing(counted_builds, empty_cache):
+    for args, field in [((4, 8), "dim"), ((1, 1), "n_modes"), ((1, 2048), "n_modes"),
+                        ((1, 16, 1), "quad_factor"), ((1, 16, float("nan")), "quad_factor"),
+                        ((1, 24.5), "n_modes"), ((1, 16, 2.5), "quad_factor"), ((3, 129), "n_modes")]:
+        with pytest.raises(ConfigError, match=field):
+            build_basis(*args)
+    assert counted_builds == [] and empty_cache == {}
+
+
+def test_basis_cache_is_bounded_in_bytes(counted_builds, empty_cache, monkeypatch):
+    # room for two N = 8 bases and one N = 4, but not for N = 4, 8 and 9
+    size = hermite._nbytes(build_basis(1, 8))
+    monkeypatch.setattr(hermite, "_CACHE_BYTES", 2 * size + hermite._nbytes(build_basis(1, 4)) - 1)
+    b8, b4 = build_basis(1, 8), build_basis(1, 4)
+    b9 = build_basis(1, 9)  # keeps 4 and 9: 8, the least recently used, is evicted
+    assert list(empty_cache) == [(1, 4, 2), (1, 9, 2)]
+    assert build_basis(1, 4) is b4 and build_basis(1, 9) is b9
+    assert build_basis(1, 8) is not b8  # built again, and 4, now the oldest, goes
+    assert list(empty_cache) == [(1, 9, 2), (1, 8, 2)]
+    big = build_basis(1, 32)  # larger than the bound: returned, not kept, and nothing is evicted
+    assert list(empty_cache) == [(1, 9, 2), (1, 8, 2)]
+    assert build_basis(1, 32) is not big
+    assert counted_builds == [16, 8, 18, 16, 64, 64]
 
 
 def test_to_grid_ground_state(basis32):
