@@ -58,6 +58,11 @@ MAX_STEPS = 10**7
 # points) holds about 2^17.
 MAX_WINDOW_VALUES = 2**22
 
+# The most coefficients the records of a run may keep: its snapped record count times N^d.  A
+# record keeps a copy of the state, 16 B a mode, so the records hold at most 256 MiB at the bound
+# (4096 records in 3D N = 16, 2^19 in 1D N = 32); the example configs keep at most 11 of 32 modes.
+MAX_RECORD_VALUES = 2**24
+
 # How far a record time may lie past t_final.  A Picard window may end past the control
 # by this times max(1, duration), which covers the roundoff in simulate's window ends.
 _TIME_SLACK = 1e-12
@@ -132,15 +137,23 @@ class SimConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
-        _step_count(self.t_final, self.dt)
+        n_steps = _step_count(self.t_final, self.dt)
         if self.integrator not in ("strang", "picard"):
             raise ConfigError(f"unknown integrator {self.integrator!r}")
         if self.integrator == "picard":
-            n_steps = _step_count(min(self.picard_window, self.t_final), self.dt)
-            _check_window(self, n_steps, f"picard_window = {self.picard_window}")
+            window = _step_count(min(self.picard_window, self.t_final), self.dt)
+            _check_window(self, window, f"picard_window = {self.picard_window}")
         for t in self.record_times:
             if not 0.0 <= t <= self.t_final + _TIME_SLACK:
                 raise ConfigError(f"record_times entry {t} outside [0, {self.t_final}]")
+        per_record = self.n_modes**self.dim
+        if min(max(len(self.record_times), 2), n_steps + 1) * per_record > MAX_RECORD_VALUES:  # snap only then
+            n_records = len(_snap_records(self)[2])
+            if n_records * per_record > MAX_RECORD_VALUES:
+                raise ConfigError(
+                    f"record_times (n_records) snap to {n_records} records of {per_record} coefficients, "
+                    f"more than MAX_RECORD_VALUES = {MAX_RECORD_VALUES}"
+                )
         if not all(math.isfinite(s) and s >= 0 for s in self.sobolev_s):
             raise ConfigError(f"sobolev_s orders must be finite and >= 0, got {self.sobolev_s}")
         if self.residual_k < 0:
@@ -365,16 +378,22 @@ class _StrangStepper:
 
         Only a linear (sigma = 0) 1D run has them: at least n_modes // 2
         consecutive steps whose integrals agree with the run's first to
-        _SAME_INTEGRAL_RTOL, so that the matvecs pay for building the matrix.
+        _SAME_INTEGRAL_RTOL, so that the matvecs pay for building the matrix;
+        at least n_modes where the transforms fold, since a folded step()
+        costs less.  With one BLAS thread on a 2-vCPU host the matrix paid for
+        itself against step() after 50-110 steps at N = 128-512 unfolded, and
+        against a folded step() after 76, 209, 328, 538, 789 and 892 steps at
+        N = 160, 192, 256, 320, 512 and 896 (207 at N = 1024).
         """
         if self.cfg.sigma or self.basis.dim != 1:
             return []
+        n_min = self.basis.n_modes if self.basis._halves else self.basis.n_modes // 2
         jumps = np.abs(np.diff(u_ints)) > _SAME_INTEGRAL_RTOL * np.abs(u_ints[:-1])
         cuts = [0, *(np.flatnonzero(jumps) + 1), len(u_ints)]
         return [
             (a, b)
             for a, b in zip(cuts[:-1], cuts[1:])
-            if b - a >= self.basis.n_modes // 2
+            if b - a >= n_min
             and np.all(np.abs(u_ints[a:b] - u_ints[a]) <= _SAME_INTEGRAL_RTOL * abs(u_ints[a]))
         ]
 
@@ -443,7 +462,8 @@ def _record(
 
 def _guard_can_trip(basis: HermiteBasis, k_values: np.ndarray, coeffs: np.ndarray, u_ints: np.ndarray) -> bool:
     """Whether _march's H1 bound may pass the limit on a Strang march from coeffs under step integrals u_ints."""
-    # the limit is halved for roundoff: a step's norm is <= 1 + 3e-13 (1D, N <= 1024); (1 + 1e-8)^MAX_STEPS < 2
+    # the limit is halved for roundoff: a 1D step() grows a norm by at most 2e-15 (N = 32 to 1024,
+    # folded from N = 160) and a step matrix by 3e-13 (N <= 1024); (1 + 1e-8)^MAX_STEPS < 2
     norm2 = np.max(np.sum(np.abs(coeffs.reshape(basis.lam.size, -1)) ** 2, axis=0))  # inf/NaN for a non-finite start
     phases = math.isfinite(float(np.abs(k_values).max()) * float(np.abs(u_ints).max()))  # sigma |v|^2 dt is bounded
     return not (phases and math.sqrt(basis.lam.max() * norm2) <= H1_DIVERGENCE_LIMIT / 2)
@@ -665,10 +685,12 @@ def picard_solve(
         # the synthesis of psi, and the analysis of f, which holds K psi and
         # then the cubic term on the grid: GEMMs bound once per solve
         planes_shape = (n + 1, 2, k_grid.size)  # (time, re/im, point)
-        synthesis, g = _synthesis_gemms(basis.herm_table, psi, basis.dim)
+        synthesis, g = _synthesis_gemms(basis.herm_table, psi, basis.dim, basis._halves[:2])
         g = g.reshape(planes_shape)
         sq, f = np.empty(planes_shape), np.empty(planes_shape)
-        analysis, f_hat = _analysis_gemms(basis.analysis_table, f.reshape((n + 1, 2) + k_grid.shape), basis.dim)
+        analysis, f_hat = _analysis_gemms(
+            basis.analysis_table, f.reshape((n + 1, 2) + k_grid.shape), basis.dim, basis._halves[2:]
+        )
     dists, ratios = [], []
     for it in range(cfg.picard_max_iter):
         np.multiply(phases, w, out=psi)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -42,10 +42,18 @@ MAX_GRID_POINTS = 2**24
 # N = 48 bases take 34 KiB and 75 KiB; the largest 1D basis at quad_factor 2 (N = 1024, two
 # 1024 x 2048 tables) takes 32.1 MiB, and 3D N = 128 (lam and level) 32.5 MiB, so either one is
 # kept; 1D N = 1024 at quad_factor 8 (two 1024 x 8192 tables, 128 MiB) is built but not kept.
+# The half-tables a folded basis makes on first use hold half its tables' bytes (48.1 MiB in all
+# at 1D N = 1024) and count from the next build_basis call on.
 _CACHE_BYTES = 2**26
 # The bases kept, by key (dim, n_modes, quad_factor), the least recently used first.
 _BASES: dict = {}
 _clear_bases = _BASES.clear  # so that the next build_basis call with any key builds
+# 1D bases with at least this many modes, and an even node count, take parity-folded transforms
+# (see _synthesis_gemms): half the table bytes and multiply-adds, in four numpy calls where the
+# plain transform makes one.  With one BLAS thread on a 2-vCPU host, a folded 1D
+# _StrangStepper.step took 0.95x (sigma 0) and 1.04x (sigma 1) the plain one at N = 128, 0.88x
+# at 144, 0.81-0.86x at 160, 0.79-0.88x at 192 and 0.53x at 256 (medians of 9 interleaved rounds).
+_FOLD_MIN_MODES = 160
 
 
 class ConfigError(ValueError):
@@ -88,6 +96,25 @@ class HermiteBasis:
     @property
     def n_nodes(self) -> int:
         return self.nodes.size
+
+    @cached_property
+    def _halves(self) -> tuple:
+        """The half-tables of the parity fold, made on first use and read-only: the rows of even
+        and of odd modes of herm_table on the nodes x > 0, transposed as synthesis reads them,
+        then those of analysis_table; () for a basis that takes the plain GEMMs (see
+        _FOLD_MIN_MODES and _synthesis_gemms).
+
+        The nodes are symmetric bit for bit and h_k(-x) = (-1)^k h_k(x) holds exactly in the
+        tables, whose recurrence rounds alike at x and -x.
+        """
+        m = self.n_nodes
+        if self.dim != 1 or self.n_modes < _FOLD_MIN_MODES or m % 2:
+            return ()
+        herm, ana = self.herm_table[:, m // 2 :], self.analysis_table[:, m // 2 :]
+        halves = (herm[0::2].T.copy(), herm[1::2].T.copy(), ana[0::2].copy(), ana[1::2].copy())
+        for t in halves:
+            t.flags.writeable = False
+        return halves
 
 
 @dataclass(frozen=True)
@@ -333,7 +360,9 @@ def _build(dim: int, n_modes: int, quad_factor: int) -> HermiteBasis:
 
 
 def _arrays(basis: HermiteBasis) -> list:
-    return [a for a in vars(basis).values() if isinstance(a, np.ndarray)]
+    """The basis's arrays, with its half-tables once made."""
+    values = [a for v in vars(basis).values() for a in (v if isinstance(v, tuple) else (v,))]
+    return [a for a in values if isinstance(a, np.ndarray)]
 
 
 def _nbytes(basis: HermiteBasis) -> int:
@@ -374,8 +403,8 @@ def _level_exp(basis: HermiteBasis, z: complex) -> np.ndarray:
     return np.exp(z * levels)[basis.level]
 
 
-def _synthesis_gemms(tab: np.ndarray, c: np.ndarray, dim: int) -> tuple[list, np.ndarray]:
-    """The GEMMs (lhs, rhs, out) that take c to planes of sum_k c_k prod_j tab[k_j, i_j], and those planes.
+def _synthesis_gemms(tab: np.ndarray, c: np.ndarray, dim: int, halves: tuple = ()) -> tuple[list, np.ndarray]:
+    """The ops (f, x, y, out) that take c to planes of sum_k c_k prod_j tab[k_j, i_j], and those planes.
 
     tab is a real (in, out) table and c complex and contiguous, of shape
     (n_in,) * dim + batch; the planes are real of shape batch + (2,) +
@@ -389,26 +418,42 @@ def _synthesis_gemms(tab: np.ndarray, c: np.ndarray, dim: int) -> tuple[list, np
     round, tab.T times the float view: its product, of which the planes
     are the transposed view, holds the grid values as interleaved complex
     numbers of shape (n_out,) + batch, which the 1D Strang step rotates
-    with one complex multiply (see dynamics._phase_kernel).  Every operand
-    is a view of c or of an output allocated here, so running the GEMMs
-    (_run) reads c as it is then and overwrites the planes.
+    with one complex multiply (see dynamics._phase_kernel).
+
+    Given the half-tables (even, odd) of tab (HermiteBasis._halves), the
+    1D synthesis is parity-folded: E and O, the sums over even and over
+    odd modes at the nodes x > 0, are two half-size GEMMs, and v(+-x) =
+    E +- O fills the two halves of the product (the x < 0 rows reversed).
+    Every operand is a view of c or of an output allocated here, so
+    running the ops (_run) reads c as it is then and overwrites the planes.
     """
     batch, (n_in, n_out) = c.shape[dim:], tab.shape
     a = c.view(float).reshape(n_in, -1)
     if dim == 1:
         out = np.empty((n_out, a.shape[1]))
-        return [(tab.T, a, out)], out.T.reshape(batch + (2, n_out))
-    gemms = []
+        planes = out.T.reshape(batch + (2, n_out))
+        if not halves:
+            return [(np.matmul, tab.T, a, out)], planes
+        # E +- O are taken on complex views, whose reversed half numpy runs in one loop
+        h, z = n_out // 2, out.view(complex)
+        o = np.empty((h, z.shape[1]), complex)
+        return [
+            (np.matmul, halves[0], a[0::2], out[h:]),
+            (np.matmul, halves[1], a[1::2], o.view(float)),
+            (np.subtract, z[h:], o, z[h - 1 :: -1]),
+            (np.add, z[h:], o, z[h:]),
+        ], planes
+    ops = []
     for _ in range(dim):
         a = a.reshape(n_in, -1)
         out = np.empty((a.shape[1], n_out))
-        gemms.append((a.T, tab, out))
+        ops.append((np.matmul, a.T, tab, out))
         a = out
-    return gemms, a.reshape(batch + (2,) + (n_out,) * dim)
+    return ops, a.reshape(batch + (2,) + (n_out,) * dim)
 
 
-def _analysis_gemms(tab: np.ndarray, planes: np.ndarray, dim: int) -> tuple[list, np.ndarray]:
-    """The GEMMs (lhs, rhs, out) of the analysis of planes by the (out, in) table tab, and its coefficients.
+def _analysis_gemms(tab: np.ndarray, planes: np.ndarray, dim: int, halves: tuple = ()) -> tuple[list, np.ndarray]:
+    """The ops (f, x, y, out) of the analysis of planes by the (out, in) table tab, and its coefficients.
 
     The mirror of _synthesis_gemms: planes of shape batch + (2,) + (n_in,)
     * dim go to complex coefficients of shape (n_out,) * dim + batch, a
@@ -416,41 +461,58 @@ def _analysis_gemms(tab: np.ndarray, planes: np.ndarray, dim: int) -> tuple[list
     transposed view of the previous result's trailing axis, and puts its
     output axis first, so after dim passes the (re, im) axis is last and
     the float result is read as interleaved complex coefficients.  1D
-    planes may be stored either way round: both give views.
+    planes may be stored either way round: both give views.  Given the
+    half-tables (even, odd) of tab, the 1D analysis is parity-folded: v(x)
+    + v(-x) and v(x) - v(-x) at the nodes x > 0 go into two work arrays,
+    and the even and the odd half-table take them to the even and the odd
+    rows of the output.
     """
     batch, (n_out, n_in) = planes.shape[: planes.ndim - dim - 1], tab.shape
-    gemms, a = [], planes
+    if dim == 1 and halves:
+        v = planes.reshape(-1, n_in).T
+        h, out = n_in // 2, np.empty((n_out, v.shape[1]))
+        s, d = np.empty((h, v.shape[1])), np.empty((h, v.shape[1]))
+        fs, fd = s, d
+        if v.strides[1] == v.itemsize:  # (re, im) pairs, as synthesis stores them: fold complex views
+            v, fs, fd = v.view(complex), s.view(complex), d.view(complex)
+        return [
+            (np.add, v[h:], v[h - 1 :: -1], fs),
+            (np.subtract, v[h:], v[h - 1 :: -1], fd),
+            (np.matmul, halves[0], s, out[0::2]),
+            (np.matmul, halves[1], d, out[1::2]),
+        ], out.view(complex).reshape((n_out,) + batch)
+    ops, a = [], planes
     for _ in range(dim):
         a = a.reshape(-1, n_in)
         out = np.empty((n_out, a.shape[0]))
-        gemms.append((tab, a.T, out))
+        ops.append((np.matmul, tab, a.T, out))
         a = out
-    return gemms, a.view(complex).reshape((n_out,) * dim + batch)
+    return ops, a.view(complex).reshape((n_out,) * dim + batch)
 
 
-def _run(gemms: list) -> None:
-    """Run bound GEMMs (lhs, rhs, out) in order; every transform goes through here."""
-    for lhs, rhs, out in gemms:
-        np.matmul(lhs, rhs, out=out)
+def _run(ops: list) -> None:
+    """Run bound ops (f, x, y, out) in order, f(x, y, out=out); every transform goes through here."""
+    for f, x, y, out in ops:
+        f(x, y, out=out)
 
 
-def _contract(tab: np.ndarray, coeffs: np.ndarray, dim: int) -> np.ndarray:
+def _contract(tab: np.ndarray, coeffs: np.ndarray, dim: int, halves: tuple = ()) -> np.ndarray:
     """Planes of sum_k c_k prod_j tab[k_j, i_j] for coefficients of shape (n_in,) * dim + batch;
     see _synthesis_gemms."""
-    gemms, planes = _synthesis_gemms(tab, np.ascontiguousarray(coeffs, dtype=complex), dim)
-    _run(gemms)
+    ops, planes = _synthesis_gemms(tab, np.ascontiguousarray(coeffs, dtype=complex), dim, halves)
+    _run(ops)
     return planes
 
 
 def _synthesize(basis: HermiteBasis, coeffs: np.ndarray) -> np.ndarray:
     """Grid planes, shape batch + (2,) + (M,) * dim, of coefficients of shape (N,) * dim + batch."""
-    return _contract(basis.herm_table, coeffs, basis.dim)
+    return _contract(basis.herm_table, coeffs, basis.dim, basis._halves[:2])
 
 
 def _analyze(basis: HermiteBasis, planes: np.ndarray) -> np.ndarray:
     """Coefficients, shape (N,) * dim + batch, of grid planes of shape batch + (2,) + (M,) * dim."""
-    gemms, coeffs = _analysis_gemms(basis.analysis_table, planes, basis.dim)
-    _run(gemms)
+    ops, coeffs = _analysis_gemms(basis.analysis_table, planes, basis.dim, basis._halves[2:])
+    _run(ops)
     return coeffs
 
 
@@ -510,18 +572,19 @@ class _Plan(_GridPlanes):
     """One Strang step's arrays and GEMM operands for coefficients of shape
     (N,) * dim + batch, bound once per basis and batch shape.
 
-    c is the contiguous coefficient input; synthesis the dim GEMMs from c
-    to the planes; analysis the dim GEMMs from the planes to out, the
-    complex coefficients (a view of the last GEMM's output).  A step or a
-    record writes c, runs the GEMMs with _run and reads the planes or out,
-    which the next use of the plan overwrites.
+    c is the contiguous coefficient input; synthesis the ops from c to the
+    planes (dim GEMMs, or a parity fold in 1D: see _synthesis_gemms);
+    analysis the ops from the planes to out, the complex coefficients (a
+    view of the last output).  A step or a record writes c, runs the ops
+    with _run and reads the planes or out, which the next use of the plan
+    overwrites.
     """
 
     def __init__(self, basis: HermiteBasis, batch: tuple = ()):
         self.c = np.empty((basis.n_modes,) * basis.dim + batch, complex)
-        self.synthesis, planes = _synthesis_gemms(basis.herm_table, self.c, basis.dim)
+        self.synthesis, planes = _synthesis_gemms(basis.herm_table, self.c, basis.dim, basis._halves[:2])
         super().__init__(planes, basis.dim)
-        self.analysis, self.out = _analysis_gemms(basis.analysis_table, planes, basis.dim)
+        self.analysis, self.out = _analysis_gemms(basis.analysis_table, planes, basis.dim, basis._halves[2:])
 
 
 def _to_planes(values: np.ndarray) -> np.ndarray:

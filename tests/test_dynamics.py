@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import gpe.dynamics as dynamics
+import gpe.hermite as hermite
 from gpe.controls import ControlSignal, make_potential
 from gpe.dynamics import (
     InitialState,
@@ -374,12 +375,14 @@ def test_divergence_guard_picard(basis64, monkeypatch):
         simulate(basis64, cfg)
 
 
-@pytest.mark.parametrize("dim, n_modes", [(1, 32), (2, 12), (3, 8)])
+@pytest.mark.parametrize("dim, n_modes", [(1, 32), (1, 256), (1, 1024), (2, 12), (3, 8)])
 @pytest.mark.parametrize("sigma", [-1, 0, 1])
 def test_strang_step_does_not_grow_l2(dim, n_modes, sigma):
     # the premise of the once-per-march guard: unit-modulus phases around
     # P e^{-i theta} S grow no norm, for strong potentials, large integrals
-    # and states of norm 4; a 1D step matrix is the same map
+    # and states of norm 4, also where the 1D transforms fold (N = 256 and
+    # 1024); a 1D step matrix is the same map, built from the full tables,
+    # and its 2-norm is checked up to N = 256 (an SVD at N = 1024 takes seconds)
     basis = build_basis(dim, n_modes)
     pot = make_potential(basis, "gaussian_bump", amplitude=5.0, width=0.7, center=0.3)
     cfg = replace(bump_config(basis, sigma=sigma, dt=1e-2), potential=pot)
@@ -390,12 +393,32 @@ def test_strang_step_does_not_grow_l2(dim, n_modes, sigma):
             c = random_spectral(basis, rng, decay=0.5).coeffs
             c *= scale / np.linalg.norm(c)
             steps = [stepper.step(c, u_int)]
-            if dim == 1:
+            if dim == 1 and n_modes <= 256:
                 mat = stepper._step_matrix(u_int)
                 steps.append(mat @ c)
                 assert np.linalg.norm(mat, 2) <= 1.0 + 1e-13
             for out in steps:
                 assert np.linalg.norm(out) <= scale * (1.0 + 1e-13)
+
+
+@pytest.mark.parametrize("n_modes", [256, 1024])
+@pytest.mark.parametrize("members", [None, 6])
+@pytest.mark.parametrize("sigma", [0, 1])
+def test_folded_step_matches_plain(monkeypatch, n_modes, members, sigma):
+    # the same step on a copy of the basis that takes the plain GEMMs
+    basis = build_basis(1, n_modes)
+    assert len(basis._halves) == 4  # made before the threshold is raised
+    monkeypatch.setattr(hermite, "_FOLD_MIN_MODES", 2 * n_modes)
+    plain = replace(basis)  # its half-tables are made on first use: none at this threshold
+    assert plain._halves == ()
+    cfg = bump_config(basis, sigma=sigma, dt=1e-2)
+    trail = () if members is None else (members,)
+    rng = np.random.default_rng(n_modes + sigma)
+    c = rng.standard_normal((n_modes,) + trail) + 1j * rng.standard_normal((n_modes,) + trail)
+    c /= np.linalg.norm(c, axis=0)
+    u_int = np.linspace(-0.5, 3.0, members) if members else 0.7
+    folded, ref = (dynamics._StrangStepper(b, cfg, cfg.dt).step(c, u_int) for b in (basis, plain))
+    assert np.max(np.abs(folded - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def count_guard_calls(monkeypatch):
@@ -720,6 +743,21 @@ def test_picard_solve_accepts_window_ends_of_a_long_run(basis64):
     assert res.n_iter == 1
 
 
+def test_record_bound_counts_snapped_records(basis64, monkeypatch):
+    # the bound is on records as they snap onto the step grid: 5000 record times
+    # on 100 steps keep 101 states of 64 coefficients, within a bound of 101 x 64;
+    # 102 distinct steps are refused, naming record_times
+    monkeypatch.setattr(dynamics, "MAX_RECORD_VALUES", 101 * 64)
+    cfg = bump_config(basis64, sigma=0, t_final=0.1, dt=1e-3, record_times=tuple(np.linspace(0.0, 0.1, 5000)))
+    cfg.validate(basis64)
+    assert len(simulate(basis64, cfg).records) == 101
+    bad = replace(cfg, t_final=0.101, control=ControlSignal.zero(0.101), record_times=tuple(np.linspace(0.0, 0.101, 102)))
+    with pytest.raises(ConfigError, match="record_times .* 102 records of 64 coefficients"):
+        bad.validate()
+    with pytest.raises(ConfigError, match="MAX_RECORD_VALUES"):
+        simulate(basis64, bad)
+
+
 def test_picard_window_bound_refuses_before_allocating(basis64, monkeypatch):
     # a linear 1D window holds N = 64 coefficients per time node, and a cubic one
     # M = 128 grid points; 0.5 / dt + 1 = 501 nodes of 64 values fit the bound
@@ -822,14 +860,16 @@ def test_linear_kernels_match_per_step(dim, n_modes, control):
 
 
 def count_transforms(monkeypatch, basis):
-    # every transform of dynamics runs its bound GEMMs through dynamics._run;
-    # an analysis on basis is a chain whose first left operand is its table
+    # every transform of dynamics runs its bound ops (f, x, y, out) through
+    # dynamics._run; a synthesis starts with a GEMM, and an analysis on basis
+    # with a GEMM by its table or, when folded, with the fold (an add)
     calls = {"synthesis": [], "analysis": []}
     run = dynamics._run
 
-    def counted(gemms):
-        calls["analysis" if gemms[0][0] is basis.analysis_table else "synthesis"].append(1)
-        run(gemms)
+    def counted(ops):
+        f, x = ops[0][:2]
+        calls["analysis" if x is basis.analysis_table or f is not np.matmul else "synthesis"].append(1)
+        run(ops)
 
     monkeypatch.setattr(dynamics, "_run", counted)
     return calls
@@ -861,6 +901,34 @@ def test_step_matrix_takes_long_runs_only(monkeypatch, dim, sigma, control, per_
                       dt=2e-3, record_times=(0.0, KERNEL_T))
     traj = simulate(basis, cfg)
     assert len(calls) == per_step + len(traj.records)
+
+
+@pytest.mark.parametrize("n_steps, per_step", [(200, 200), (256, 0)])
+def test_folded_basis_takes_step_matrices_from_n_modes_steps(monkeypatch, n_steps, per_step):
+    # a folded step() costs less, so a zero-control 1D N = 256 run builds its
+    # step matrix only from 256 equal steps on, not from 128
+    basis = build_basis(1, 256)
+    calls = count_synthesis(monkeypatch, basis)
+    traj = simulate(basis, bump_config(basis, sigma=0, t_final=n_steps * 1e-3, dt=1e-3))
+    assert len(calls) == per_step + len(traj.records)
+
+
+def test_folded_transforms_are_counted_once(monkeypatch):
+    # a folded analysis starts with its fold, not a GEMM by the table, and is
+    # still counted once: 100 cubic Strang steps and 2 records at 1D N = 256,
+    # one synthesis and one analysis per cubic Picard iteration at N = 192
+    basis = build_basis(1, 256)
+    calls = count_transforms(monkeypatch, basis)
+    cfg = bump_config(basis, sigma=1, t_final=KERNEL_T, dt=2e-3, record_times=(0.0, KERNEL_T))
+    simulate(basis, cfg)
+    assert (len(calls["synthesis"]), len(calls["analysis"])) == (102, 100)
+    monkeypatch.undo()
+    basis = build_basis(1, 192)
+    calls = count_transforms(monkeypatch, basis)
+    cfg = bump_config(basis, sigma=1, control=ControlSignal.piecewise_constant([0.7], 0.05), t_final=0.05, dt=1e-3)
+    res = picard_solve(basis, cfg, 0.05)
+    assert len(basis._halves) == 4 and res.n_iter > 1
+    assert len(calls["synthesis"]) == len(calls["analysis"]) == res.n_iter
 
 
 @pytest.mark.parametrize("control", ["zero", "sinusoid_perturbed"])

@@ -28,7 +28,7 @@ from gpe.hermite import (
     to_spectral,
 )
 
-from gpe.operators import lp_norm
+from gpe.operators import lp_norm, sup_norm_refined
 
 from conftest import random_spectral, to_planes
 
@@ -425,3 +425,86 @@ def test_transform_pair_matches_einsum(dim, batch):
     expect = naive_transform(weighted, v, dim)
     assert got.shape == expect.shape
     assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
+def plain_pair(b, c):
+    """Synthesis of c and analysis of its planes by the full tables, as a basis below the fold takes them."""
+    planes = hermite._contract(b.herm_table, c, 1)
+    ops, coeffs = hermite._analysis_gemms(b.analysis_table, planes, 1)
+    hermite._run(ops)
+    return planes, coeffs
+
+
+@pytest.mark.parametrize("n_modes", [256, 512, 1024])
+@pytest.mark.parametrize("batch", [(), (6,)])
+def test_folded_transforms_match_plain(n_modes, batch):
+    b = build_basis(1, n_modes)
+    assert len(b._halves) == 4  # this basis folds
+    rng = np.random.default_rng(n_modes + len(batch))
+    c = rng.standard_normal((n_modes,) + batch) + 1j * rng.standard_normal((n_modes,) + batch)
+    planes, coeffs = plain_pair(b, c)
+    got = _synthesize(b, c)
+    assert got.shape == planes.shape
+    assert np.max(np.abs(got - planes)) <= 1e-13 * np.max(np.abs(planes))
+    # analysis of planes stored as synthesis stores them, and stored as two contiguous planes
+    for p in (got, np.ascontiguousarray(got)):
+        folded = _analyze(b, p)
+        assert folded.shape == coeffs.shape
+        assert np.max(np.abs(folded - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
+
+
+@pytest.mark.parametrize("n_modes, quad_factor", [(160, 2), (161, 2), (257, 2), (1024, 2), (160, 3), (256, 3)])
+def test_tables_have_exact_parity_where_the_fold_is_taken(n_modes, quad_factor):
+    # the fold reads h_k(-x) as (-1)^k h_k(x): exact on the built nodes, odd N and quad_factor 3 too
+    b = build_basis(1, n_modes, quad_factor)
+    assert len(b._halves) == 4
+    assert np.array_equal(b.nodes, -b.nodes[::-1])
+    sign = np.where(np.arange(n_modes) % 2, -1.0, 1.0)[:, None]
+    for t in (b.herm_table, b.analysis_table):
+        assert np.array_equal(t[:, ::-1], sign * t)
+    even, odd, even_w, odd_w = b._halves
+    h = b.n_nodes // 2
+    assert np.array_equal(even, b.herm_table[0::2, h:].T) and np.array_equal(odd, b.herm_table[1::2, h:].T)
+    assert np.array_equal(even_w, b.analysis_table[0::2, h:]) and np.array_equal(odd_w, b.analysis_table[1::2, h:])
+    for t in b._halves:
+        with pytest.raises(ValueError, match="read-only"):
+            t[0, 0] = 1.0
+
+
+def test_fold_thresholds_and_odd_node_counts():
+    # below the threshold, in 2D and on an odd node count (N = 193 at quad_factor 3, a node at 0)
+    # every transform is the plain GEMM, bit for bit
+    for args in [(1, hermite._FOLD_MIN_MODES - 1), (2, 8), (1, 193, 3)]:
+        b = build_basis(*args)
+        assert b._halves == ()
+    b = build_basis(1, 193, 3)
+    assert b.n_nodes % 2 == 1 and b.nodes[b.n_nodes // 2] == 0.0
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal((193, 2)) + 1j * rng.standard_normal((193, 2))
+    planes, coeffs = plain_pair(b, c)
+    assert np.array_equal(_synthesize(b, c), planes)
+    assert np.array_equal(_analyze(b, planes), coeffs)
+    assert np.max(np.abs(coeffs - c)) <= 1e-12
+
+
+def test_half_tables_count_in_the_cache_bytes():
+    b = hermite._build(1, 256, 2)
+    before = hermite._nbytes(b)
+    assert len(b._halves) == 4
+    assert hermite._nbytes(b) == before + (b.herm_table.nbytes + b.analysis_table.nbytes) // 2
+
+
+def test_sup_norm_refined_never_folds(monkeypatch):
+    # its table is on a uniform grid, which is not symmetric bit for bit: only GEMMs run
+    b = build_basis(1, 256)
+    funcs = []
+    run = hermite._run
+
+    def recorded(ops):
+        funcs.extend(f for f, *_ in ops)
+        run(ops)
+
+    monkeypatch.setattr(hermite, "_run", recorded)
+    f = random_spectral(b, np.random.default_rng(4), decay=1.0)
+    sup_norm_refined(b, f)
+    assert funcs == [np.matmul]
