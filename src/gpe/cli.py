@@ -45,6 +45,7 @@ from .dynamics import (
     PicardDidNotConverge,
     SimConfig,
     SimulationDiverged,
+    _even_records,
     make_initial_state,
     simulate,
 )
@@ -208,19 +209,20 @@ def build_simulation(spec: dict, path: str = "sim", seed_shift: int = 0):
     grid = {key: f[key] for key in ("dim", "n_modes", "quad_factor") if key in f}
     with _at(path):
         basis = build_basis(**grid)
+    n_rec = f.pop("n_records", None)
     if "record_times" in f:
-        _require("n_records" not in f, f"{path}.n_records: give either record_times or n_records")
+        _require(n_rec is None, f"{path}.n_records: give either record_times or n_records")
         _require(f["record_times"], f"{path}.record_times: expected a nonempty list")
-    elif "n_records" in f:
-        n_rec = f.pop("n_records")
+    elif n_rec is not None:
         _require(1 <= n_rec <= MAX_STEPS + 1, f"{path}.n_records: must be in [1, MAX_STEPS + 1 = {MAX_STEPS + 1}]")
-        f["record_times"] = tuple(np.linspace(0.0, t_final, max(n_rec, 2)))
     f["initial_state"] = _build_initial(f["initial_state"], seed_shift, f"{path}.initial_state")
     f["potential"] = _build_potential(f["potential"], basis, f"{path}.potential")
     f["control"] = _build_control(f["control"], t_final, f"{path}.control")
     cfg = SimConfig(**f)
     with _at(path):
         cfg.validate(basis)
+        if n_rec is not None:
+            cfg = _even_records(cfg, n_rec)
     with _at(f"{path}.initial_state"):
         make_initial_state(basis, cfg.initial_state)
     return basis, cfg

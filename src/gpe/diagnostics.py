@@ -121,26 +121,24 @@ def holder_quotient(
     """Holder quotient of a state-valued series in the H^s norm.
 
     Pairs closer than min_dt are skipped.  A constant series gives
-    quotient 0 and an undefined fitted exponent.
+    quotient 0 and an undefined fitted exponent.  Each record's differences
+    to all later ones are one array reduction, and gap^alpha is Python's
+    float power, once per distinct gap.
     """
     _check_holder(len(series), alpha)
-    log_dt, log_df, qsup = [], [], 0.0
-    for i in range(len(series)):
-        for j in range(i + 1, len(series)):
-            t1, f1 = series[i]
-            t2, f2 = series[j]
-            gap = abs(t2 - t1)
-            if gap < max(min_dt, 1e-300):
-                continue
-            diff = SpectralField(basis.dim, basis.n_modes, f2.coeffs - f1.coeffs)
-            d = sobolev_norm(basis, diff, s)
-            qsup = max(qsup, d / gap**alpha)
-            if d > 0.0:
-                log_dt.append(np.log(gap))
-                log_df.append(np.log(d))
-    fitted = None
-    if len(log_dt) >= 8:
-        fitted = float(np.polyfit(log_dt, log_df, 1)[0])
+    _check_order(s)
+    ts = np.array([t for t, _ in series], dtype=float)
+    c = np.stack([f.coeffs.reshape(-1) for _, f in series])
+    w = basis.lam.reshape(-1) ** s
+    rows = [np.sqrt(np.sum(w * np.abs(c[i + 1 :] - c[i]) ** 2, axis=1)) for i in range(len(c) - 1)]
+    i, j = np.triu_indices(len(c), 1)  # the pairs in the order of rows
+    gap, d = np.abs(ts[j] - ts[i]), np.concatenate(rows)
+    keep = gap >= max(min_dt, 1e-300)
+    gap, d = gap[keep], d[keep]
+    uniq, at = np.unique(gap, return_inverse=True)
+    qsup = np.fmax.reduce(d / np.array([g**alpha for g in uniq.tolist()])[at], initial=0.0)
+    pos = d > 0.0
+    fitted = float(np.polyfit(np.log(gap[pos]), np.log(d[pos]), 1)[0]) if np.count_nonzero(pos) >= 8 else None
     return HolderEstimate(alpha, float(qsup), fitted)
 
 

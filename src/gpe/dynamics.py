@@ -146,14 +146,8 @@ class SimConfig:
         for t in self.record_times:
             if not 0.0 <= t <= self.t_final + _TIME_SLACK:
                 raise ConfigError(f"record_times entry {t} outside [0, {self.t_final}]")
-        per_record = self.n_modes**self.dim
-        if min(max(len(self.record_times), 2), n_steps + 1) * per_record > MAX_RECORD_VALUES:  # snap only then
-            n_records = len(_snap_records(self)[2])
-            if n_records * per_record > MAX_RECORD_VALUES:
-                raise ConfigError(
-                    f"record_times (n_records) snap to {n_records} records of {per_record} coefficients, "
-                    f"more than MAX_RECORD_VALUES = {MAX_RECORD_VALUES}"
-                )
+        if min(max(len(self.record_times), 2), n_steps + 1) * self.n_modes**self.dim > MAX_RECORD_VALUES:
+            _check_records(self, len(_snap_records(self)[2]))  # snap only then
         if not all(math.isfinite(s) and s >= 0 for s in self.sobolev_s):
             raise ConfigError(f"sobolev_s orders must be finite and >= 0, got {self.sobolev_s}")
         if self.residual_k < 0:
@@ -209,6 +203,28 @@ def _check_window(cfg: SimConfig, n_steps: int, name: str) -> None:
             f"{name} with dt = {cfg.dt} makes a Picard window of {n_steps + 1} time nodes of {per_node} "
             f"values, more than MAX_WINDOW_VALUES = {MAX_WINDOW_VALUES}"
         )
+
+
+def _check_records(cfg: SimConfig, n_records: int) -> None:
+    """ConfigError naming the record keys unless n_records records of cfg fit MAX_RECORD_VALUES."""
+    per_record = cfg.n_modes**cfg.dim
+    if n_records * per_record > MAX_RECORD_VALUES:
+        raise ConfigError(
+            f"record_times (n_records) snap to {n_records} records of {per_record} coefficients, "
+            f"more than MAX_RECORD_VALUES = {MAX_RECORD_VALUES}"
+        )
+
+
+def _even_records(cfg: SimConfig, n_records: int) -> SimConfig:
+    """cfg recording at the steps that max(n_records, 2) evenly spaced times over [0, t_final] snap to.
+
+    Evenly spaced n >= 2 times snap to exactly min(n, n_steps + 1) steps, every step once n passes
+    n_steps + 1, so the record bound is checked on that count before any time is made, and only
+    that many times are made.  cfg must be validated.
+    """
+    n = min(max(n_records, 2), _step_count(cfg.t_final, cfg.dt) + 1)
+    _check_records(cfg, n)
+    return replace(cfg, record_times=tuple(np.linspace(0.0, cfg.t_final, n)))
 
 
 def make_initial_state(basis: HermiteBasis, spec: InitialState) -> SpectralField:

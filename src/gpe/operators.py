@@ -105,10 +105,10 @@ def free_propagate(basis: HermiteBasis, f: SpectralField, t: float) -> SpectralF
     return SpectralField(f.dim, f.n_modes, f.coeffs * _level_exp(basis, 1j * t))
 
 
-# The most trapezoid panels kato_functional takes.  Its two exponential tables hold about
-# 2 sqrt(span) + 1 complex numbers per time node, span being the largest level gap, at most
-# 3 (MAX_MODES - 1) = 3069; that is at most 113 numbers, 1.8 KB, per node, so at most
-# 120 MB at the bound (67 MB in 1D).
+# The most trapezoid panels kato_functional takes.  The closed-form time sum costs the same at
+# any panel count, so this bounds a resolution, not memory: at the bound h D stays below pi for
+# every level gap D <= 3 (MAX_MODES - 1) = 3069 on windows shorter than 2^16 pi / 3069 = 67, so
+# more panels resolve nothing new on the windows a scan takes.
 MAX_TIME_PANELS = 2**16
 
 
@@ -133,12 +133,12 @@ def kato_functional(
     quadratic form Re sum_{l,m} Q_lm S(l - m), where
 
         Q_lm = sum_x W(x) (1 + |x|^2)^(-1/2) g_l(x) conj(g_m(x)),
-        S(D) = sum_j w_j exp(2 i t_j D),
+        S(D) = sum_j w_j exp(2 i t_j D) = h e^{i(t0+t1)D} cos(hD) sin(n hD) / sin(hD),
 
-    W the quadrature weights and w_j the trapezoid weights of the time
-    grid.  Only levels where amp is nonzero enter.  S is indexed by the
+    W the quadrature weights, w_j the weights of the n trapezoid panels of
+    width h.  Only levels where amp is nonzero enter.  S is indexed by the
     integer gap D = l - m, computed for D >= 0 and conjugated for D < 0;
-    no time slice is synthesized.
+    no time grid is made and no time slice is synthesized.
     """
     _check_beta(beta)
     _check_fit(basis, phi, "phi")
@@ -153,21 +153,20 @@ def kato_functional(
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
         raise ConfigError(f"t_window must satisfy t0 < t1, got ({t0}, {t1})")
-    ts = np.linspace(t0, t1, n_time + 1)
 
     amp = phi.coeffs * basis.lam ** (beta / 2.0)
     levels = np.flatnonzero(np.bincount(basis.level[amp != 0]))
     if levels.size == 0:
         return 0.0
 
-    # S(D) for D = k b + r, 0 <= r < b, is sum_j w_j e^{2i t_j k b} e^{2i t_j r}: one
-    # small complex GEMM over about 2 sqrt(span) exponentials per time node
-    w = np.convolve(np.diff(ts), [0.5, 0.5])  # the trapezoid weights
+    # the ratio sin(n h D) / sin(h D) at h D = k pi + r is (-1)^(k (n - 1)) sin(n r) / sin(r), n at
+    # r = 0: so reduced, it keeps its digits where h D nears a multiple of pi and n h D rounds
     span = int(levels[-1] - levels[0])
-    b = math.isqrt(span) + 1
-    low = np.exp(2j * np.multiply.outer(ts, np.arange(b)))
-    high = np.exp(2j * np.multiply.outer(np.arange(0, span + 1, b), ts)) * w
-    s = (high @ low).ravel()[: span + 1]
+    h, gaps = (t1 - t0) / n_time, np.arange(span + 1)
+    k = np.rint(h * gaps / math.pi)
+    r = h * gaps - k * math.pi
+    ratio = np.divide(np.sin(n_time * r), np.sin(r), out=np.full(span + 1, float(n_time)), where=r != 0)
+    s = h * np.exp(1j * (t0 + t1) * gaps) * np.cos(h * gaps) * np.where(k * (n_time - 1) % 2, -ratio, ratio)
     s = np.concatenate([s[:0:-1].conj(), s])  # S(D) at index D + span
     s_gap = s[np.subtract.outer(levels, levels) + span]  # S(l - m)
 
@@ -179,13 +178,13 @@ def kato_functional(
         a, hs = amp[levels], basis.herm_table[levels]
         total = np.vdot(a, a @ (((hs * wx) @ hs.T) * s_gap))
     else:
-        # with g_l = r_l + i m_l on the grid, Re Q = r W r^T + m W m^T and
-        # Im Q = m W r^T - r W m^T, four real GEMMs over the level planes
+        # with g_l = r_l + i m_l on the grid stacked as rows A = (r_0, m_0, r_1, ...), one real GEMM
+        # A W A^T holds Re Q = r W r^T + m W m^T and Im Q = m W r^T - r W m^T
         parts = np.where(basis.level[..., None] == levels, amp[..., None], 0.0)
-        g = _synthesize(basis, parts).reshape(levels.size, 2, -1)
-        r, m = g[:, 0], g[:, 1]
-        rw, mw = r * wx.reshape(-1), m * wx.reshape(-1)
-        total = np.sum((rw @ r.T + mw @ m.T) * s_gap.real - (mw @ r.T - rw @ m.T) * s_gap.imag)
+        a = _synthesize(basis, parts).reshape(2 * levels.size, -1)
+        c = ((a * wx.reshape(-1)) @ a.T).reshape(levels.size, 2, levels.size, 2)
+        re_q, im_q = c[:, 0, :, 0] + c[:, 1, :, 1], c[:, 1, :, 0] - c[:, 0, :, 1]
+        total = np.sum(re_q * s_gap.real - im_q * s_gap.imag)
     return math.sqrt(max(float(total.real), 0.0))
 
 

@@ -758,6 +758,28 @@ def test_record_bound_counts_snapped_records(basis64, monkeypatch):
         simulate(basis64, bad)
 
 
+@pytest.mark.parametrize("n_steps", [1, 7, 100, 250])
+def test_even_records_snap_like_all_their_times(basis64, n_steps):
+    # max(n, 2) evenly spaced times snap to min(n, n_steps + 1) steps, so the times made for
+    # that count snap to the same steps as all of them
+    cfg = bump_config(basis64, t_final=0.5, dt=0.5 / n_steps)
+    for n in sorted({1, 2, 3, n_steps, n_steps + 1, n_steps + 2, 2 * n_steps + 1, 5000}):
+        full = replace(cfg, record_times=tuple(np.linspace(0.0, 0.5, max(n, 2))))
+        even = dynamics._even_records(cfg, n)
+        assert len(even.record_times) == len(dynamics._snap_records(full)[2]) == min(max(n, 2), n_steps + 1)
+        assert dynamics._snap_records(even)[2] == dynamics._snap_records(full)[2]
+    # 10^6 times on 10^6 steps keep 10^6 records of 64 coefficients, past MAX_RECORD_VALUES:
+    # refused on the count, before any time is made
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="n_records"):
+            dynamics._even_records(replace(cfg, dt=0.5e-6), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
 def test_picard_window_bound_refuses_before_allocating(basis64, monkeypatch):
     # a linear 1D window holds N = 64 coefficients per time node, and a cubic one
     # M = 128 grid points; 0.5 / dt + 1 = 501 nodes of 64 values fit the bound

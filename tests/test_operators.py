@@ -241,6 +241,15 @@ def two_level_state(basis):
         (2, 12, "eigenstate", (-0.3, 1.7), 37),
         (3, 6, "dense", (-2 * np.pi, 2 * np.pi), 64),
         (3, 6, "dense", (-0.3, 1.7), 37),
+        # h = pi / 64: the level gaps of these states pass 64, where h D = pi
+        (1, 128, "dense", (-2 * np.pi, 2 * np.pi), 256),
+        (1, 256, "dense", (-2 * np.pi, 2 * np.pi), 256),
+        (1, 200, "dense", (0.3, 0.3 + 4 * np.pi), 256),
+        # h = pi / 4: h D crosses fifteen multiples of pi; n_time h D is exact in floating point
+        # only when n_time is a power of two, so sin(n_time h D) / sin(h D) loses its digits at
+        # h D = k pi for 24 panels and not for 16
+        (1, 64, "dense", (-2 * np.pi, 2 * np.pi), 16),
+        (1, 64, "dense", (-3 * np.pi, 3 * np.pi), 24),
     ],
 )
 def test_kato_functional_matches_time_slices(dim, n_modes, state, window, n_time):
