@@ -91,11 +91,25 @@ def _check_residual(sigma: int, k: int, beta: float) -> None:
         raise ConfigError(f"k must be an even nonnegative integer, got {k}")
 
 
+# The most record pairs holder_quotient compares: R (R - 1) / 2 of R records, so 2048 records.
+# It keeps a few numbers a pair, a tracemalloc peak of 115-150 B a pair (229 MiB at the bound
+# in 1D N = 32), and its row reductions take a time a pair that grows with the modes N^d: 0.4 us
+# in 1D N = 32, 1.7 us in 2D N = 16, 3.4 us in 3D N = 8 and 35 us in 3D N = 16 (0.9, 3.6 and
+# 7.1 s at the bound, about 73 s in 3D N = 16); configs/smoothing.json has 11 records.
+MAX_HOLDER_PAIRS = 2**21
+
+
 def _check_holder(n_samples: int, alpha: float) -> None:
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
     if n_samples < 2:
         raise ConfigError(f"record_times: the Holder quotient needs at least two samples, got {n_samples}")
+    pairs = n_samples * (n_samples - 1) // 2
+    if pairs > MAX_HOLDER_PAIRS:
+        raise ConfigError(
+            f"record_times: the Holder quotient of {n_samples} records compares {pairs} pairs, "
+            f"more than MAX_HOLDER_PAIRS = {MAX_HOLDER_PAIRS}"
+        )
 
 
 def smoothing_residual_series(

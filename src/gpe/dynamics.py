@@ -26,10 +26,10 @@ from .hermite import (
     GridField,
     HermiteBasis,
     SpectralField,
-    _abs2,
     _analysis_gemms,
     _check_fit,
     _GridPlanes,
+    _Products,
     _level_exp,
     _Plan,
     _quad_sum,
@@ -51,11 +51,12 @@ MAX_STEPS = 10**7
 
 # The most values a Picard window may hold: its time nodes (window / dt + 1) times N^d
 # coefficients, or times M^d grid points when the solve makes transforms (2D, 3D or sigma != 0).
-# A solve keeps six complex and one real array over the nodes' coefficients (104 B a mode), with
-# transforms three real plane arrays (48 B a grid point) and the GEMMs' intermediates, and a few
-# numbers per node: a tracemalloc peak of 88-110 B a value in 1D-3D, 128 B at 1D N = 2, so at
-# most 512 MiB at the bound.  perfbench's largest window (batched-1d: 1001 nodes of 128 grid
-# points) holds about 2^17.
+# A solve keeps six complex arrays over the nodes' coefficients (96 B a mode) and, with
+# transforms, one real plane array over the grid (16 B a grid point), or two above quad_factor 2
+# in 1D and in 2D and 3D, with the GEMMs' intermediates there, and a few numbers per node: a
+# tracemalloc peak of 65-99 B a value in 1D-3D at N >= 6 and 140 B at 1D N = 2, so at most
+# 560 MiB at the bound.  perfbench's largest window (batched-1d: 1001 nodes of 128 grid points)
+# holds about 2^17.
 MAX_WINDOW_VALUES = 2**22
 
 # The most coefficients the records of a run may keep: its snapped record count times N^d.  A
@@ -679,11 +680,11 @@ def picard_solve(
     h = t_final / n
     ts = np.arange(n + 1) * h
     shape = basis.lam.shape + (n + 1,)
-    lam_t = np.multiply.outer(basis.lam, ts)
-    phases = np.empty(shape, complex)  # e^{i lam t}
-    np.cos(lam_t, out=phases.real)
+    w, w_new, psi, term, phases, back = (np.empty(shape, complex) for _ in range(6))
+    lam_t = np.multiply.outer(basis.lam, ts, out=w.real)
+    np.cos(lam_t, out=phases.real)  # e^{i lam t}
     np.sin(lam_t, out=phases.imag)
-    back = np.empty(shape, complex)  # -(i/2) e^{-i lam t}: the integrand's -i and the trapezoid's 1/2
+    # -(i/2) e^{-i lam t}: the integrand's -i and the trapezoid's 1/2
     np.multiply(phases.imag, -0.5, out=back.real)
     np.multiply(phases.real, -0.5, out=back.imag)
     # U_{j-1} at node j; complex, so that its product with coefficients casts nothing
@@ -692,36 +693,28 @@ def picard_solve(
     k_grid = cfg.potential.grid_values
     k_hat = _multiplier_matrix(basis, k_grid) if basis.dim == 1 else None
     c0 = psi0.coeffs
-    w = np.empty(shape, complex)
     w[...] = c0[..., None]
-    w_new, psi, term = (np.empty(shape, complex) for _ in range(3))
     flat = term.reshape(-1)
     transforms = cfg.sigma or k_hat is None
     if transforms:
-        # the synthesis of psi, and the analysis of f, which holds K psi and
-        # then the cubic term on the grid: GEMMs bound once per solve
-        planes_shape = (n + 1, 2, k_grid.size)  # (time, re/im, point)
+        # the synthesis of psi, and the analysis into term of the grid
+        # products of psi: K psi (2D, 3D), then the cubic term, formed in
+        # the synthesis output in 1D with its squares in psi and term, which
+        # are dead then (see _Products); GEMMs bound once per solve
         synthesis, g = _synthesis_gemms(basis.herm_table, psi, basis.dim, basis._halves[:2])
-        g = g.reshape(planes_shape)
-        sq, f = np.empty(planes_shape), np.empty(planes_shape)
-        analysis, f_hat = _analysis_gemms(
-            basis.analysis_table, f.reshape((n + 1, 2) + k_grid.shape), basis.dim, basis._halves[2:]
-        )
+        grid = _Products(g, basis.dim, (psi, term))
+        analysis, _ = _analysis_gemms(basis.analysis_table, grid.out, basis.dim, basis._halves[2:], term)
     dists, ratios = [], []
     for it in range(cfg.picard_max_iter):
         np.multiply(phases, w, out=psi)
         if transforms:
             _run(synthesis)
-        if cfg.sigma:
-            mod2 = _abs2(g, sq)
-            mod2 *= -cfg.sigma * h
         if k_hat is None:
-            np.multiply(g, k_grid.reshape(-1), out=f)
+            np.multiply(g, k_grid, out=grid.out)
             _run(analysis)
-            k_psi = f_hat
         else:
-            k_psi = np.matmul(k_hat, psi.view(float), out=term.view(float)).view(complex)
-        np.multiply(back, k_psi, out=term)
+            np.matmul(k_hat, psi.view(float), out=term.view(float))
+        np.multiply(back, term, out=term)
         # Node j >= 1 of w_new gets the sum over panel j - 1 of its end
         # values, taken on flat views; the sum that straddles two rows lands
         # on node 0 of the later one, which is reset to c0 before the cumsum.
@@ -729,9 +722,9 @@ def picard_solve(
         np.add(flat[:-1], flat[1:], out=acc)
         w_new *= panel_u
         if cfg.sigma:
-            np.multiply(g, mod2, out=f)
+            grid.cubic(-cfg.sigma * h)
             _run(analysis)
-            np.multiply(back, f_hat, out=term)
+            np.multiply(back, term, out=term)
             acc += flat[:-1]
             acc += flat[1:]
         w_new[..., 0] = c0

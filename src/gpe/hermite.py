@@ -452,25 +452,29 @@ def _synthesis_gemms(tab: np.ndarray, c: np.ndarray, dim: int, halves: tuple = (
     return ops, a.reshape(batch + (2,) + (n_out,) * dim)
 
 
-def _analysis_gemms(tab: np.ndarray, planes: np.ndarray, dim: int, halves: tuple = ()) -> tuple[list, np.ndarray]:
+def _analysis_gemms(
+    tab: np.ndarray, planes: np.ndarray, dim: int, halves: tuple = (), out: Optional[np.ndarray] = None
+) -> tuple[list, np.ndarray]:
     """The ops (f, x, y, out) of the analysis of planes by the (out, in) table tab, and its coefficients.
 
     The mirror of _synthesis_gemms: planes of shape batch + (2,) + (n_in,)
-    * dim go to complex coefficients of shape (n_out,) * dim + batch, a
-    view of the last output.  Each pass is one real GEMM of tab with the
-    transposed view of the previous result's trailing axis, and puts its
-    output axis first, so after dim passes the (re, im) axis is last and
-    the float result is read as interleaved complex coefficients.  1D
-    planes may be stored either way round: both give views.  Given the
-    half-tables (even, odd) of tab, the 1D analysis is parity-folded: v(x)
-    + v(-x) and v(x) - v(-x) at the nodes x > 0 go into two work arrays,
-    and the even and the odd half-table take them to the even and the odd
-    rows of the output.
+    * dim go to complex coefficients of shape (n_out,) * dim + batch: out,
+    a C-contiguous complex array of that shape, or a new one if None.
+    Each pass is one real GEMM of tab with the transposed view of the
+    previous result's trailing axis, and puts its output axis first, so
+    after dim passes the (re, im) axis is last and the last pass writes
+    the float view of the coefficients.  1D planes may be stored either
+    way round: both give views.  Given the half-tables (even, odd) of
+    tab, the 1D analysis is parity-folded: v(x) + v(-x) and v(x) - v(-x)
+    at the nodes x > 0 go into two work arrays, and the even and the odd
+    half-table take them to the even and the odd rows of the output.
     """
     batch, (n_out, n_in) = planes.shape[: planes.ndim - dim - 1], tab.shape
+    coeffs = np.empty((n_out,) * dim + batch, complex) if out is None else out
+    last = coeffs.view(float).reshape(n_out, -1)
     if dim == 1 and halves:
         v = planes.reshape(-1, n_in).T
-        h, out = n_in // 2, np.empty((n_out, v.shape[1]))
+        h = n_in // 2
         s, d = np.empty((h, v.shape[1])), np.empty((h, v.shape[1]))
         fs, fd = s, d
         if v.strides[1] == v.itemsize:  # (re, im) pairs, as synthesis stores them: fold complex views
@@ -478,16 +482,16 @@ def _analysis_gemms(tab: np.ndarray, planes: np.ndarray, dim: int, halves: tuple
         return [
             (np.add, v[h:], v[h - 1 :: -1], fs),
             (np.subtract, v[h:], v[h - 1 :: -1], fd),
-            (np.matmul, halves[0], s, out[0::2]),
-            (np.matmul, halves[1], d, out[1::2]),
-        ], out.view(complex).reshape((n_out,) + batch)
+            (np.matmul, halves[0], s, last[0::2]),
+            (np.matmul, halves[1], d, last[1::2]),
+        ], coeffs
     ops, a = [], planes
-    for _ in range(dim):
+    for i in range(dim):
         a = a.reshape(-1, n_in)
-        out = np.empty((n_out, a.shape[0]))
-        ops.append((np.matmul, tab, a.T, out))
-        a = out
-    return ops, a.view(complex).reshape((n_out,) * dim + batch)
+        o = last if i == dim - 1 else np.empty((n_out, a.shape[0]))
+        ops.append((np.matmul, tab, a.T, o))
+        a = o
+    return ops, coeffs
 
 
 def _run(ops: list) -> None:
@@ -566,6 +570,47 @@ class _GridPlanes:
     def abs2(self) -> np.ndarray:
         """re^2 + im^2 of the planes, shape batch + (1, P), a view of tmp."""
         return _abs2(self.q, self.tmp)
+
+
+class _Products:
+    """Grid planes v of shape batch + (2,) + grid, stored as _synthesis_gemms
+    stores them, and the planes out that pointwise products of v go into for
+    analysis, with the views of the cubic term bound once.
+
+    1D planes take their product in place: out is the planes, whose grid
+    values the GEMM output holds as interleaved complex numbers
+    (_interleaved), and re^2 and im^2 are read from those into two real work
+    arrays of shape (M,) + batch.  Each is a view of the storage of one of
+    the two spare arrays where that is large enough (at quad_factor 2, a
+    spare of the coefficients' shape and batch) and a new array otherwise,
+    so the spares must hold nothing live while cubic runs.  In 2D and 3D out
+    is a new array of the planes' shape, which may also take another product
+    of v, and the squares go into its two planes.
+    """
+
+    def __init__(self, planes: np.ndarray, dim: int, spare: tuple):
+        if dim == 1:
+            v = _interleaved(planes)
+            self.out, self.re, self.im = planes, v.real, v.imag
+            flat = [np.ravel(x).view(float) for x in spare]
+            self.sq = tuple(a[: v.size].reshape(v.shape) if a.size >= v.size else np.empty(v.shape) for a in flat)
+            self.prod = self.re, self.im
+        else:
+            q = planes.reshape(planes.shape[: planes.ndim - dim] + (-1,))
+            self.out = np.empty(planes.shape)
+            o = self.out.reshape(q.shape)
+            self.re, self.im = q[..., :1, :], q[..., 1:, :]
+            self.sq = self.prod = o[..., :1, :], o[..., 1:, :]
+
+    def cubic(self, scale: float) -> None:
+        """Write scale |v|^2 v into out, per point and plane (scale (re^2 + im^2)) v bit for bit."""
+        (re2, im2), (out_re, out_im) = self.sq, self.prod
+        np.square(self.re, out=re2)
+        np.square(self.im, out=im2)
+        mod2 = np.add(re2, im2, out=re2)
+        mod2 *= scale
+        np.multiply(self.im, mod2, out=out_im)  # first: in 2D and 3D out_re holds mod2
+        np.multiply(self.re, mod2, out=out_re)
 
 
 class _Plan(_GridPlanes):

@@ -608,27 +608,40 @@ def assert_matches_psi_iteration(basis, cfg, res, t_final, psi0, t_offset):
     assert np.linalg.norm(res.state.coeffs - state) <= 1e-13
 
 
-def one_piece_config(dim, n_modes, sigma):
-    return bump_config(build_basis(dim, n_modes), sigma=sigma,
+def one_piece_config(dim, n_modes, sigma, quad_factor=2):
+    return bump_config(build_basis(dim, n_modes, quad_factor), sigma=sigma,
                        control=ControlSignal.piecewise_constant([0.7], 0.1),
-                       t_final=0.06, dt=1e-3, picard_window=0.025)
+                       t_final=0.06, dt=1e-3, picard_window=0.025, quad_factor=quad_factor)
 
 
-@pytest.mark.parametrize("dim, n_modes", [(1, 32), (2, 8), (3, 6)])
+# The grid layouts of picard_solve's cubic term: 1D in place in the synthesis
+# output, with its squares in the storage of two coefficient arrays at
+# quad_factor 2 and in new arrays at quad_factor 3, folded at N = 192, and in
+# a separate product array in 2D and 3D
+PICARD_BASES = [
+    pytest.param(1, 32, 2, id="1-32"),
+    pytest.param(2, 8, 2, id="2-8"),
+    pytest.param(3, 6, 2, id="3-6"),
+    pytest.param(1, 64, 3, id="1-64-q3"),
+    pytest.param(1, 192, 2, id="1-192"),
+]
+
+
+@pytest.mark.parametrize("dim, n_modes, quad_factor", PICARD_BASES)
 @pytest.mark.parametrize("sigma", [-1, 0, 1])
 @pytest.mark.parametrize("t_offset", [0.0, 0.02])
-def test_picard_solve_matches_iteration_on_psi(dim, n_modes, sigma, t_offset):
-    basis, cfg = build_basis(dim, n_modes), one_piece_config(dim, n_modes, sigma)
+def test_picard_solve_matches_iteration_on_psi(dim, n_modes, quad_factor, sigma, t_offset):
+    basis, cfg = build_basis(dim, n_modes, quad_factor), one_piece_config(dim, n_modes, sigma, quad_factor)
     psi0 = make_initial_state(basis, cfg.initial_state)
     res = picard_solve(basis, cfg, 0.04, psi0=psi0, t_offset=t_offset)
     assert_matches_psi_iteration(basis, cfg, res, 0.04, psi0, t_offset)
 
 
-@pytest.mark.parametrize("dim, n_modes", [(1, 32), (2, 8), (3, 6)])
+@pytest.mark.parametrize("dim, n_modes, quad_factor", PICARD_BASES)
 @pytest.mark.parametrize("sigma", [-1, 0, 1])
-def test_simulate_picard_windows_match_iteration_on_psi(monkeypatch, dim, n_modes, sigma):
+def test_simulate_picard_windows_match_iteration_on_psi(monkeypatch, dim, n_modes, quad_factor, sigma):
     # simulate's windows: [0, 0.025], [0.025, 0.05], [0.05, 0.06]
-    basis, cfg = build_basis(dim, n_modes), one_piece_config(dim, n_modes, sigma)
+    basis, cfg = build_basis(dim, n_modes, quad_factor), one_piece_config(dim, n_modes, sigma, quad_factor)
     solve, windows = dynamics.picard_solve, []
 
     def recorded(basis, cfg, t_final, psi0, t_offset):
@@ -644,16 +657,23 @@ def test_simulate_picard_windows_match_iteration_on_psi(monkeypatch, dim, n_mode
     assert np.array_equal(traj.final_state.coeffs, windows[-1][-1].state.coeffs)
 
 
-@pytest.mark.parametrize("dim, sigma, per_iter", [
-    (1, 0, (0, 0)), (1, 1, (1, 1)), (1, -1, (1, 1)), (2, 0, (1, 1)), (2, 1, (1, 2)),
+@pytest.mark.parametrize("dim, sigma, per_iter, n_modes, quad_factor", [
+    pytest.param(1, 0, (0, 0), 32, 2, id="1-0-per_iter0"),
+    pytest.param(1, 1, (1, 1), 32, 2, id="1-1-per_iter1"),
+    pytest.param(1, -1, (1, 1), 32, 2, id="1--1-per_iter2"),
+    pytest.param(2, 0, (1, 1), 8, 2, id="2-0-per_iter3"),
+    pytest.param(2, 1, (1, 2), 8, 2, id="2-1-per_iter4"),
+    pytest.param(1, 1, (1, 1), 64, 3, id="1-1-64-q3"),
+    pytest.param(1, -1, (1, 1), 64, 3, id="1--1-64-q3"),
+    pytest.param(1, 1, (1, 1), 192, 2, id="1-1-192"),
 ])
-def test_picard_solve_transform_counts(monkeypatch, dim, sigma, per_iter):
+def test_picard_solve_transform_counts(monkeypatch, dim, sigma, per_iter, n_modes, quad_factor):
     # a 1D potential term is one GEMM on the coefficients; the cubic term,
     # and in 2D the potential term, take one synthesis and one analysis each
-    basis = build_basis(dim, 32 if dim == 1 else 8)
+    basis = build_basis(dim, n_modes, quad_factor)
     calls = count_transforms(monkeypatch, basis)
     cfg = bump_config(basis, sigma=sigma, control=ControlSignal.piecewise_constant([0.7], 0.05),
-                      t_final=0.05, dt=1e-3)
+                      t_final=0.05, dt=1e-3, quad_factor=quad_factor)
     res = picard_solve(basis, cfg, 0.05)
     assert res.n_iter > 1
     assert (len(calls["synthesis"]), len(calls["analysis"])) == tuple(res.n_iter * k for k in per_iter)
@@ -717,6 +737,26 @@ def test_step_count_bound_refuses_before_allocating(basis64):
     finally:
         tracemalloc.stop()
     assert peak < 2**20  # the step edges alone of 10^7 + 1 steps take 80 MB
+
+
+@pytest.mark.parametrize("dim, n_modes, nodes, bound", [(1, 64, 1001, 10e6), (2, 16, 101, 8.5e6)], ids=["1d", "2d"])
+def test_picard_solve_memory(dim, n_modes, nodes, bound):
+    # one cubic solve keeps six complex arrays over its nodes' coefficients and
+    # one grid-plane array (two in 2D and 3D): 8.4 and 7.7 MB by tracemalloc
+    # here, against 14.1 and 9.9 MB with separate arrays for the squares, the
+    # cubic term and its coefficients
+    basis = build_basis(dim, n_modes)
+    t_final = 0.1 if dim == 1 else 0.01
+    cfg = bump_config(basis, sigma=1, control=ControlSignal.piecewise_constant([0.7], t_final),
+                      t_final=t_final, dt=t_final / (nodes - 1))
+    tracemalloc.start()
+    try:
+        res = picard_solve(basis, cfg, t_final)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.n_iter > 1
+    assert peak < bound
 
 
 def test_picard_solve_refuses_bad_time_arguments(basis64):
