@@ -91,24 +91,27 @@ def _check_residual(sigma: int, k: int, beta: float) -> None:
         raise ConfigError(f"k must be an even nonnegative integer, got {k}")
 
 
-# The most record pairs holder_quotient compares: R (R - 1) / 2 of R records, so 2048 records.
-# It keeps a few numbers a pair, a tracemalloc peak of 115-150 B a pair (229 MiB at the bound
-# in 1D N = 32), and its row reductions take a time a pair that grows with the modes N^d: 0.4 us
-# in 1D N = 32, 1.7 us in 2D N = 16, 3.4 us in 3D N = 8 and 35 us in 3D N = 16 (0.9, 3.6 and
-# 7.1 s at the bound, about 73 s in 3D N = 16); configs/smoothing.json has 11 records.
-MAX_HOLDER_PAIRS = 2**21
+# The most record pairs times modes N^d holder_quotient compares: R (R - 1) / 2 pairs of R
+# records, each pair a reduction over the N^d modes, so 2048 records in 1D N = 32, 724 in 2D
+# N = 16, 512 in 3D N = 8 and 181 in 3D N = 16.  Its time grows with pairs times modes: 0.3-1.0 s
+# at the bound in those four cases (one BLAS thread, 2-vCPU host), where a bound of 2^21 pairs
+# alone let 3D N = 16 take about 67 s.  Its tracemalloc peak, 115-150 B a pair plus one row of
+# differences, is 229 MiB at the bound in 1D N = 32 and 18-31 MiB in the other three;
+# configs/smoothing.json has 11 records.
+MAX_HOLDER_PAIR_MODES = 2**26
 
 
-def _check_holder(n_samples: int, alpha: float) -> None:
+def _check_holder(n_samples: int, alpha: float, n_modes: int) -> None:
+    """ConfigError unless alpha is in (0, 1] and n_samples records of n_modes (N^d) modes fit the bound."""
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
     if n_samples < 2:
         raise ConfigError(f"record_times: the Holder quotient needs at least two samples, got {n_samples}")
     pairs = n_samples * (n_samples - 1) // 2
-    if pairs > MAX_HOLDER_PAIRS:
+    if pairs * n_modes > MAX_HOLDER_PAIR_MODES:
         raise ConfigError(
-            f"record_times: the Holder quotient of {n_samples} records compares {pairs} pairs, "
-            f"more than MAX_HOLDER_PAIRS = {MAX_HOLDER_PAIRS}"
+            f"record_times: the Holder quotient of {n_samples} records of {n_modes} modes compares "
+            f"{pairs} pairs, {pairs * n_modes} pair-modes, more than MAX_HOLDER_PAIR_MODES = {MAX_HOLDER_PAIR_MODES}"
         )
 
 
@@ -139,7 +142,7 @@ def holder_quotient(
     to all later ones are one array reduction, and gap^alpha is Python's
     float power, once per distinct gap.
     """
-    _check_holder(len(series), alpha)
+    _check_holder(len(series), alpha, basis.lam.size)
     _check_order(s)
     ts = np.array([t for t, _ in series], dtype=float)
     c = np.stack([f.coeffs.reshape(-1) for _, f in series])
@@ -169,7 +172,7 @@ def smoothing_experiment(
     """
     cfg.validate(basis)
     _check_residual(cfg.sigma, k, beta)
-    _check_holder(len(_snap_records(cfg)[2]), alpha)
+    _check_holder(len(_snap_records(cfg)[2]), alpha, basis.lam.size)
     traj = simulate(basis, cfg)
     states = residual_states(traj, basis)
     series = [(t, sobolev_norm(basis, st, k + beta)) for t, st in states]

@@ -29,7 +29,6 @@ from .hermite import (
     _analysis_gemms,
     _check_fit,
     _GridPlanes,
-    _Products,
     _level_exp,
     _Plan,
     _quad_sum,
@@ -323,32 +322,33 @@ def _phase_kernel(g: _GridPlanes, sigma: int, k_values: np.ndarray, u_int, dt: f
     share the cost of the calls.
     """
     m = k_values.size
+    theta, theta2, cos, sin, rot = g.rotation
     if g.values is not None:
         v = g.values
         k = k_values.reshape((m,) + (1,) * (v.ndim - 1))
         # -theta, whose cos and sin are the parts of exp(-i theta)
-        theta = np.multiply(k, -u_int, out=g.theta)
+        theta = np.multiply(k, -u_int, out=theta)
         if sigma:
-            mod2 = np.abs(v, out=g.mod)
+            mod2 = np.abs(v, out=g.sq[0])
             np.square(mod2, out=mod2)
             np.multiply(mod2, sigma * dt, out=mod2)  # equals (sigma |v|^2) dt bit for bit at sigma = +-1
             np.add(theta, mod2, out=theta)
-        _cos_sin(theta, m, g.cos, g.sin, g.theta2)
-        np.multiply(v, g.rot, out=v)
+        _cos_sin(theta, m, cos, sin, theta2)
+        np.multiply(v, rot, out=v)
         return g.planes
-    q = g.q
     u = np.reshape(u_int, np.shape(u_int) + (1, 1))
-    theta = np.multiply(k_values.reshape(-1), u, out=g.theta)
+    theta = np.multiply(k_values.reshape(-1), u, out=theta)
     if sigma:
         mod2 = g.abs2()
         np.multiply(mod2, sigma * dt, out=mod2)
         np.subtract(theta, mod2, out=theta)
-    _cos_sin(theta, m, g.cos, g.sin, g.theta2)
-    re, im = q[..., :1, :], q[..., 1:, :]  # per plane: numpy buffers a broadcast over both planes
-    im_sin = np.multiply(im, g.sin, out=g.tmp[..., 1:, :])
-    im *= g.cos
-    im -= np.multiply(re, g.sin, out=g.tmp[..., :1, :])
-    re *= g.cos
+    _cos_sin(theta, m, cos, sin, theta2)
+    re, im = g.re, g.im  # per plane: numpy buffers a broadcast over both planes
+    re_sin, im_sin = g.sq
+    np.multiply(im, sin, out=im_sin)
+    im *= cos
+    im -= np.multiply(re, sin, out=re_sin)
+    re *= cos
     re += im_sin
     return g.planes
 
@@ -446,9 +446,9 @@ def energy(basis: HermiteBasis, state: SpectralField) -> float:
 
 
 def _grid_abs2(plan: _Plan, coeffs: np.ndarray) -> np.ndarray:
-    """|v|^2 = re^2 + im^2 at the grid points, shape (1, M^dim), of the state with coefficients coeffs.
+    """|v|^2 = re^2 + im^2 at the grid points of the state with coefficients coeffs.
 
-    The plan has no batch axes; the result is a view of plan.tmp.
+    The plan has no batch axes; the result is the first of plan.sq.
     """
     np.copyto(plan.c, coeffs)
     _run(plan.synthesis)
@@ -700,17 +700,17 @@ def picard_solve(
         # the synthesis of psi, and the analysis into term of the grid
         # products of psi: K psi (2D, 3D), then the cubic term, formed in
         # the synthesis output in 1D with its squares in psi and term, which
-        # are dead then (see _Products); GEMMs bound once per solve
+        # are dead then (see _GridPlanes); GEMMs bound once per solve
         synthesis, g = _synthesis_gemms(basis.herm_table, psi, basis.dim, basis._halves[:2])
-        grid = _Products(g, basis.dim, (psi, term))
-        analysis, _ = _analysis_gemms(basis.analysis_table, grid.out, basis.dim, basis._halves[2:], term)
+        grid = _GridPlanes(g, basis.dim, (psi, term))
+        analysis, _ = _analysis_gemms(basis.analysis_table, grid.products, basis.dim, basis._halves[2:], term)
     dists, ratios = [], []
     for it in range(cfg.picard_max_iter):
         np.multiply(phases, w, out=psi)
         if transforms:
             _run(synthesis)
         if k_hat is None:
-            np.multiply(g, k_grid, out=grid.out)
+            np.multiply(g, k_grid, out=grid.products)
             _run(analysis)
         else:
             np.matmul(k_hat, psi.view(float), out=term.view(float))

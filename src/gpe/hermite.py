@@ -22,7 +22,6 @@ entries finite for truncations up to N = 1024.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -520,16 +519,6 @@ def _analyze(basis: HermiteBasis, planes: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _abs2(planes: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """re^2 + im^2 of planes of shape batch + (2, P), shape batch + (1, P).
-
-    The squares go to out, an array shaped as planes (a new one if None),
-    and the result is its view out[..., :1, :].
-    """
-    sq = np.square(planes, out=out)
-    return np.add(sq[..., :1, :], sq[..., 1:, :], out=sq[..., :1, :])
-
-
 def _interleaved(planes: np.ndarray) -> np.ndarray:
     """The grid values of 1D planes stored as _synthesis_gemms stores them,
     as a complex view of shape (M,) + batch."""
@@ -538,79 +527,74 @@ def _interleaved(planes: np.ndarray) -> np.ndarray:
 
 
 class _GridPlanes:
-    """Grid planes of shape batch + (2,) + grid and the work arrays of their
-    pointwise phase rotation (dynamics._phase_kernel) and of |v|^2, bound once.
+    """Grid planes v of shape batch + (2,) + grid, stored as _synthesis_gemms
+    stores them, with the views and work arrays of every pointwise product
+    of v bound once: |v|^2 (abs2), the cubic term (cubic) and the phase
+    rotation of dynamics._phase_kernel (rotation).
 
-    q is the view of the planes with the grid flattened to P points, and
-    tmp an array of its shape.  1D planes, stored as _synthesis_gemms
-    stores them, are rotated as complex values: values is their interleaved
-    complex view of shape (M,) + batch; theta, theta2 and rot (complex)
-    have that shape, cos and sin are the real and imaginary parts of rot,
-    and mod is a view of tmp of that shape.  In 2D and 3D values and rot
-    are None, and theta, theta2, cos and sin have shape batch + (1, P).
+    re and im are the real and imaginary parts of v, and sq two real work
+    arrays of their shape; products are the planes that pointwise products
+    of v go into for analysis.  In 1D the grid values are held as
+    interleaved complex numbers, values, of shape (M,) + batch; re and im
+    are its parts, and products the planes themselves, whose product cubic
+    takes in place.  Each sq is a view of the storage of one of the spare
+    arrays where that is large enough (at quad_factor 2, a spare of the
+    coefficients' shape and batch) and a new array otherwise, so the spares
+    must hold nothing live while the squares are in use; without spares one
+    new array holds both.  In 2D and 3D values is None, re and im are the
+    two planes with the grid flattened to P points, shape batch + (1, P),
+    products a new array of the planes' shape, which may also take another
+    product of v, and sq its two planes.
     """
 
-    def __init__(self, planes: np.ndarray, dim: int):
-        batch, p = planes.shape[: planes.ndim - dim - 1], math.prod(planes.shape[planes.ndim - dim :])
+    def __init__(self, planes: np.ndarray, dim: int, spare: tuple = ()):
         self.planes = planes
-        self.q = planes.reshape(batch + (2, p))
-        self.tmp = np.empty(self.q.shape)
         if dim == 1:
             self.values = _interleaved(planes)
-            shape = self.values.shape
-            self.mod = self.tmp.reshape(-1)[: self.values.size].reshape(shape)
-            self.rot = np.empty(shape, complex)
-            self.cos, self.sin = self.rot.real, self.rot.imag
-        else:
-            self.values = self.rot = None
-            shape = batch + (1, p)
-            self.cos, self.sin = np.empty(shape), np.empty(shape)
-        self.theta, self.theta2 = np.empty(shape), np.empty(shape)
-
-    def abs2(self) -> np.ndarray:
-        """re^2 + im^2 of the planes, shape batch + (1, P), a view of tmp."""
-        return _abs2(self.q, self.tmp)
-
-
-class _Products:
-    """Grid planes v of shape batch + (2,) + grid, stored as _synthesis_gemms
-    stores them, and the planes out that pointwise products of v go into for
-    analysis, with the views of the cubic term bound once.
-
-    1D planes take their product in place: out is the planes, whose grid
-    values the GEMM output holds as interleaved complex numbers
-    (_interleaved), and re^2 and im^2 are read from those into two real work
-    arrays of shape (M,) + batch.  Each is a view of the storage of one of
-    the two spare arrays where that is large enough (at quad_factor 2, a
-    spare of the coefficients' shape and batch) and a new array otherwise,
-    so the spares must hold nothing live while cubic runs.  In 2D and 3D out
-    is a new array of the planes' shape, which may also take another product
-    of v, and the squares go into its two planes.
-    """
-
-    def __init__(self, planes: np.ndarray, dim: int, spare: tuple):
-        if dim == 1:
-            v = _interleaved(planes)
-            self.out, self.re, self.im = planes, v.real, v.imag
-            flat = [np.ravel(x).view(float) for x in spare]
-            self.sq = tuple(a[: v.size].reshape(v.shape) if a.size >= v.size else np.empty(v.shape) for a in flat)
-            self.prod = self.re, self.im
+            self.re, self.im = self.values.real, self.values.imag
+            self.products, self._out = planes, (self.re, self.im)
+            n, shape = self.values.size, self.values.shape
+            flat = [np.ravel(x).view(float) for x in spare] if spare else np.empty((2, n))
+            self.sq = tuple(a[:n].reshape(shape) if a.size >= n else np.empty(shape) for a in flat)
         else:
             q = planes.reshape(planes.shape[: planes.ndim - dim] + (-1,))
-            self.out = np.empty(planes.shape)
-            o = self.out.reshape(q.shape)
+            self.values = None
             self.re, self.im = q[..., :1, :], q[..., 1:, :]
-            self.sq = self.prod = o[..., :1, :], o[..., 1:, :]
+            self.products = np.empty(planes.shape)
+            o = self.products.reshape(q.shape)
+            self.sq = self._out = o[..., :1, :], o[..., 1:, :]
 
-    def cubic(self, scale: float) -> None:
-        """Write scale |v|^2 v into out, per point and plane (scale (re^2 + im^2)) v bit for bit."""
-        (re2, im2), (out_re, out_im) = self.sq, self.prod
+    def abs2(self) -> np.ndarray:
+        """re^2 + im^2 per point, the first of sq."""
+        re2, im2 = self.sq
         np.square(self.re, out=re2)
         np.square(self.im, out=im2)
-        mod2 = np.add(re2, im2, out=re2)
+        return np.add(re2, im2, out=re2)
+
+    def cubic(self, scale: float) -> None:
+        """Write scale |v|^2 v into products, per point and plane (scale (re^2 + im^2)) v bit for bit."""
+        mod2 = self.abs2()
         mod2 *= scale
+        out_re, out_im = self._out
         np.multiply(self.im, mod2, out=out_im)  # first: in 2D and 3D out_re holds mod2
         np.multiply(self.re, mod2, out=out_re)
+
+    @cached_property
+    def rotation(self) -> tuple:
+        """The rotation's arrays (theta, theta2, cos, sin, rot), made on first use.
+
+        In 1D theta, theta2 and the complex rot have the shape of values,
+        and cos and sin are the parts of rot; in 2D and 3D rot is None and
+        the others have the shape of re.
+        """
+        if self.values is not None:
+            shape = self.values.shape
+            rot = np.empty(shape, complex)
+            cos, sin = rot.real, rot.imag
+        else:
+            shape = self.re.shape
+            rot, cos, sin = None, np.empty(shape), np.empty(shape)
+        return np.empty(shape), np.empty(shape), cos, sin, rot
 
 
 class _Plan(_GridPlanes):
@@ -629,6 +613,9 @@ class _Plan(_GridPlanes):
         self.c = np.empty((basis.n_modes,) * basis.dim + batch, complex)
         self.synthesis, planes = _synthesis_gemms(basis.herm_table, self.c, basis.dim, basis._halves[:2])
         super().__init__(planes, basis.dim)
+        # made with the plan, before the analysis arrays: made at the first step instead, after
+        # them, they raised the peak RSS of cubic 2D and 3D runs by about 2 MB
+        self.rotation
         self.analysis, self.out = _analysis_gemms(basis.analysis_table, planes, basis.dim, basis._halves[2:])
 
 

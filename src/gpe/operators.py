@@ -19,9 +19,9 @@ from .hermite import (
     GridField,
     HermiteBasis,
     SpectralField,
-    _abs2,
     _check_fit,
     _contract,
+    _GridPlanes,
     _level_exp,
     _quad_sum,
     _synthesize,
@@ -82,9 +82,12 @@ def sup_norm_refined(
 
     Synthesizes the field on oversample * M equispaced points per axis
     covering [-x_max, x_max].  Still a lower bound of the true sup, but a
-    much tighter one than the quadrature-node max.  oversample must be an
-    integer of at least 1; ConfigError otherwise.
+    much tighter one than the quadrature-node max.  s must be finite and
+    >= 0, f fit the basis and oversample be an integer of at least 1;
+    ConfigError otherwise.
     """
+    _check_order(s)
+    _check_fit(basis, f)
     if not (isinstance(oversample, (int, np.integer)) and oversample >= 1):
         raise ConfigError(f"oversample must be an integer >= 1, got {oversample!r}")
     x_max = float(np.max(np.abs(basis.nodes)))
@@ -94,7 +97,7 @@ def sup_norm_refined(
     xs = np.linspace(-x_max, x_max, n_pts)
     table = hermite_values(basis.n_modes, xs)
     v = _contract(table, f.coeffs * basis.lam ** (s / 2.0), basis.dim)
-    return math.sqrt(np.max(_abs2(v.reshape(2, -1))))
+    return math.sqrt(np.max(_GridPlanes(v, basis.dim).abs2()))
 
 
 def free_propagate(basis: HermiteBasis, f: SpectralField, t: float) -> SpectralField:

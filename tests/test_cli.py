@@ -135,6 +135,7 @@ def test_negative_dt_names_field(tmp_path, capsys):
         ("simulate_n_records_fine_grid", "n_records"),
         ("weak_limit_n_list_huge", "n_list"),
         ("smoothing_record_pairs_huge", "record_times"),
+        ("smoothing_record_pairs_3d", "record_times"),
     ],
 )
 def test_bad_config_names_key(tmp_path, capsys, fixture, key):
@@ -149,14 +150,16 @@ def test_bad_config_names_key(tmp_path, capsys, fixture, key):
 def test_huge_counts_exit_2_before_allocating(tmp_path, capsys):
     # 10^12 records or samples, a 3D basis of 2048^3 grid points, a Picard
     # window of 2.5 10^6 time nodes, 4097 records of 2D N = 64 states, 10^7
-    # records of 10^7 steps, an n_list of 2^12 + 1 entries or 2049 smoothing
-    # records (2^21 + 1024 Holder pairs): the refusal comes before the record
-    # grid, the draws, the basis tables, the window's arrays, the first record,
-    # the record times, the stacked control integrals or the smoothing run, so
-    # the run allocates next to nothing
+    # records of 10^7 steps, an n_list of 2^12 + 1 entries, 2049 smoothing
+    # records of 1D N = 32 (2^21 + 1024 Holder pairs) or 600 of 3D N = 8
+    # (179700 pairs of 512 modes): the refusal comes before the record grid,
+    # the draws, the basis tables, the window's arrays, the first record, the
+    # record times, the stacked control integrals or the smoothing run, so the
+    # run allocates next to nothing
     for fixture in ("simulate_n_records_huge", "attainable_n_samples_huge", "simulate_basis_too_large",
                     "simulate_picard_window_huge", "simulate_records_memory_huge",
-                    "simulate_n_records_fine_grid", "weak_limit_n_list_huge", "smoothing_record_pairs_huge"):
+                    "simulate_n_records_fine_grid", "weak_limit_n_list_huge", "smoothing_record_pairs_huge",
+                    "smoothing_record_pairs_3d"):
         tracemalloc.start()
         try:
             code = run(str(DATA / "bad_configs" / f"{fixture}.json"), output_override=str(tmp_path))

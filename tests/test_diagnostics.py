@@ -6,6 +6,7 @@ import pytest
 from gpe.controls import ControlSignal, make_potential
 from gpe.dynamics import InitialState, SimConfig, Trajectory, TrajectoryRecord, _snap_records, simulate
 from gpe.diagnostics import (
+    _check_holder,
     attainable_ensemble,
     calibrate_gronwall_constant,
     convergence_errors,
@@ -87,6 +88,15 @@ def test_holder_quotient_fits_power_law(basis64):
         holder_quotient(series, basis64, 0.0, 1.5)
     with pytest.raises(ValueError):
         holder_quotient(series[:1], basis64, 0.0, 0.25)
+
+
+@pytest.mark.parametrize("records, n_modes", [(2048, 32), (724, 16**2), (512, 8**3), (181, 16**3)])
+def test_holder_bound_counts_pairs_times_modes(records, n_modes):
+    # the largest record counts of 1D N = 32, 2D N = 16, 3D N = 8 and 3D N = 16
+    # pass, and one record more is refused
+    _check_holder(records, 0.25, n_modes)
+    with pytest.raises(ConfigError, match="record_times"):
+        _check_holder(records + 1, 0.25, n_modes)
 
 
 def holder_pair_loop(series, basis, s, alpha, min_dt):

@@ -221,27 +221,30 @@ def test_cubic_3d_steps_and_records_allocate_no_grid():
 
 @pytest.mark.parametrize("dim, n_modes, members", [(1, 64, None), (1, 64, 3), (2, 16, None), (3, 16, None)])
 def test_step_allocates_only_its_result(dim, n_modes, members):
-    # a step after the first writes into its plan: beyond the coefficients it
-    # returns it allocates less than one real grid array of its batch.  numpy's
-    # ufunc iteration buffers (bufsize elements, 8192 by default) hold no
-    # array of the step, and a bufsize of 16 keeps them out of the count.
+    # a step writes into the plan bound for its batch, whose arrays are all
+    # made when it is bound, so the first step after binding too allocates,
+    # beyond the coefficients it returns, less than one real grid array of
+    # its batch.  numpy's ufunc iteration buffers (bufsize elements, 8192 by
+    # default) hold no array of the step, and a bufsize of 16 keeps them out
+    # of the count.
     basis = build_basis(dim, n_modes)
     cfg = bump_config(basis, sigma=1, t_final=0.01, dt=1e-3)
     stepper = dynamics._StrangStepper(basis, cfg, cfg.dt)
     c, u = make_initial_state(basis, cfg.initial_state).coeffs, 3e-4
     if members:
         c, u = np.stack([c] * members, axis=-1), np.array([3e-4, -2e-4, 0.0])
-    c = stepper.step(c, u)
+        stepper._bind((members,))
     grid_bytes = 8 * basis.n_nodes**dim * (members or 1)
     with np.errstate():
         np.setbufsize(16)
         tracemalloc.start()
         try:
-            for _ in range(2):
+            for _ in range(3):
                 start = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 out = stepper.step(c, u)
                 assert tracemalloc.get_traced_memory()[1] - start - out.nbytes < grid_bytes
+                c = out
                 del out
         finally:
             tracemalloc.stop()

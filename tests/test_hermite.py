@@ -427,6 +427,33 @@ def test_transform_pair_matches_einsum(dim, batch):
     assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
+@pytest.mark.parametrize(
+    "dim, n_modes, quad_factor, batch",
+    [(1, 16, 2, ()), (1, 16, 2, (3,)), (1, 16, 3, ()), (1, 16, 3, (3,)), (2, 6, 2, ()), (2, 6, 2, (2,)), (3, 4, 2, ())],
+)
+def test_grid_planes_products(dim, n_modes, quad_factor, batch):
+    # abs2 and cubic read re and im as the layout stores them: 1D squares go
+    # into the storage of the spares at quad_factor 2 (new arrays at 3) and
+    # the cubic term into the planes in place, 2D and 3D ones into products
+    b = build_basis(dim, n_modes, quad_factor)
+    rng = np.random.default_rng(dim + quad_factor + len(batch))
+    shape = (n_modes,) * dim + batch
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spare = tuple(np.full(shape, np.nan + 0j) for _ in range(2))
+    planes = _synthesize(b, c)
+    g = hermite._GridPlanes(planes, dim, spare)
+    in_spares = [any(np.shares_memory(sq, x) for x in spare) for sq in g.sq]
+    assert in_spares == [dim == 1 and quad_factor == 2] * 2
+    assert not np.shares_memory(*g.sq) and not any(np.shares_memory(sq, planes) for sq in g.sq)
+    assert np.array_equal(g.abs2(), g.re**2 + g.im**2)
+    re, im = (np.take(planes, i, axis=-dim - 1) for i in (0, 1))
+    mod2 = 0.3 * (re**2 + im**2)
+    want = np.stack([re * mod2, im * mod2], axis=-dim - 1)
+    g.cubic(0.3)
+    assert np.array_equal(g.products, want)
+    assert (g.products is planes) == (dim == 1)
+
+
 def plain_pair(b, c):
     """Synthesis of c and analysis of its planes by the full tables, as a basis below the fold takes them."""
     planes = hermite._contract(b.herm_table, c, 1)

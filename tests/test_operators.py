@@ -101,6 +101,9 @@ def test_free_propagate_and_refined_sup_norm_refuse_bad_arguments(basis64):
     for oversample in (0, -1, 0.5, 1.5):
         with pytest.raises(ConfigError, match="oversample must be an integer >= 1"):
             sup_norm_refined(basis64, f, oversample=oversample)
+    for s in (np.nan, np.inf, -1.0):
+        with pytest.raises(ConfigError, match="s must be finite and >= 0"):
+            sup_norm_refined(basis64, f, s)
 
 
 def test_wsp_norm_reduces_to_known_norms(basis64):
@@ -291,6 +294,7 @@ def test_field_on_another_basis_is_refused(basis64, basis32):
         lambda: apply_fractional_H(basis64, phi, 0.5),
         lambda: to_grid(basis64, phi),
         lambda: energy(basis64, phi),
+        lambda: sup_norm_refined(basis64, phi),
     ]
     pot = make_potential(basis64, "gaussian_bump", amplitude=1.0, width=1.2)
     cfg = SimConfig(dim=1, n_modes=64, sigma=0, t_final=0.01, dt=1e-3,
